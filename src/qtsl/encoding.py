@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import Any, Iterable
 
-from .f2lin import F2Vector, Subspace, canonicalize
+from .f2lin import F2Vector, Subspace
 from .primitives import DataError
 from .qsim import CosetState, basis_state, phase_state, subspace_state, unsupported_state
 
@@ -36,14 +36,20 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _encode_rows(n: int, values: Iterable[int]) -> list[str]:
+    if n <= 64:
+        fmt = f"0{n}b"
+        return [format(v, fmt) for v in values]
+    width = (n + 3) // 4
+    return [f"hex:{n}:{v:0{width}x}" for v in values]
+
+
 def encode_vector(v: F2Vector) -> str:
-    if v.n <= 64:
-        return str(v)
-    width = (v.n + 3) // 4
-    return f"hex:{v.n}:{v.value:0{width}x}"
+    return _encode_rows(v.n, (v.value,))[0]
 
 
-def decode_vector(text: Any) -> F2Vector:
+def _decode_bits(text: Any) -> tuple[int, int]:
+    """(length, packed value) of an encoded vector; DataError if malformed."""
     if not isinstance(text, str):
         raise DataError(f"vector field must be a string, got {type(text).__name__}")
     if text.startswith("hex:"):
@@ -51,19 +57,30 @@ def decode_vector(text: Any) -> F2Vector:
             _, n_str, hex_str = text.split(":", 2)
             n = int(n_str)
             value = int(hex_str, 16) if hex_str else 0
-            return F2Vector(n, value)
-        except (ValueError, DataError) as exc:
+        except ValueError as exc:
             raise DataError(f"bad hex vector {text!r}") from exc
-    if not text or any(c not in "01" for c in text):
+        if n <= 0 or value < 0 or value.bit_length() > n:
+            raise DataError(f"bad hex vector {text!r}")
+        return n, value
+    if not text or text.strip("01"):
         raise DataError(f"bad bit string {text!r}")
-    return F2Vector(len(text), int(text, 2))
+    return len(text), int(text, 2)
+
+
+def decode_vector(text: Any) -> F2Vector:
+    return F2Vector(*_decode_bits(text))
 
 
 def encode_space(space: Subspace) -> dict:
-    return {"n": space.ambient_n, "rows": [encode_vector(b) for b in space.basis]}
+    return {"n": space.ambient_n, "rows": _encode_rows(space.ambient_n, space.rows)}
 
 
 def decode_space(obj: Any) -> Subspace:
+    """The subspace whose canonical basis is exactly the encoded rows.
+
+    Rows that are dependent, out of order or not fully reduced are rejected
+    rather than re-canonicalised, so every subspace has one encoding.
+    """
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise DataError("subspace field must be {n, rows}")
     n = obj["n"]
@@ -72,15 +89,16 @@ def decode_space(obj: Any) -> Subspace:
     rows = obj["rows"]
     if not isinstance(rows, list):
         raise DataError("rows must be a list")
-    vecs = [decode_vector(r) for r in rows]
-    if any(v.n != n for v in vecs):
-        raise DataError("row length disagrees with ambient")
-    space = canonicalize(vecs, ambient_n=n)
-    if space.dim != len(vecs):
-        raise DataError("basis rows are linearly dependent")
-    if [str(b) for b in space.basis] != [str(v) for v in vecs]:
-        raise DataError("basis rows are not in canonical order")
-    return space
+    values = []
+    for text in rows:
+        length, value = _decode_bits(text)
+        if length != n:
+            raise DataError("row length disagrees with ambient")
+        values.append(value)
+    try:
+        return Subspace.from_rows(n, values)
+    except ValueError as exc:
+        raise DataError("basis rows are not a canonical reduced basis") from exc
 
 
 def encode_state(state: CosetState) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -119,74 +120,141 @@ def dot(u: F2Vector, v: F2Vector) -> int:
     return (u.value & v.value).bit_count() & 1
 
 
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Row echelon form of int-packed rows, keyed by pivot (leading bit);
+    zero rows are dropped.  Consumes ``rows`` exactly once, in order."""
+    by_pivot: dict[int, int] = {}
+    for r in rows:
+        while r:
+            p = r.bit_length() - 1
+            other = by_pivot.get(p)
+            if other is None:
+                by_pivot[p] = r
+                break
+            r ^= other
+    return by_pivot
+
+
 def _rref(rows: Iterable[int]) -> list[int]:
     """Reduced row echelon form of a set of int-packed rows.
 
     Returns rows sorted so the leftmost pivot comes first (descending as
     ints); zero rows are dropped.
     """
-    by_pivot: dict[int, int] = {}
-    for row in rows:
-        r = row
-        for q, other in by_pivot.items():
-            if (r >> q) & 1:
-                r ^= other
-        if not r:
-            continue
-        p = r.bit_length() - 1
-        # clear this new pivot column in every existing row
-        for q, other in by_pivot.items():
-            if (other >> p) & 1:
-                by_pivot[q] = other ^ r
+    by_pivot = _echelon(rows)
+    out = []
+    below = 0  # pivot columns of the rows already reduced
+    for p in sorted(by_pivot):
+        r = by_pivot[p]
+        hits = r & below
+        while hits:
+            r ^= by_pivot[hits.bit_length() - 1]
+            hits = r & below
         by_pivot[p] = r
-    return [by_pivot[p] for p in sorted(by_pivot, reverse=True)]
+        below |= 1 << p
+        out.append(r)
+    out.reverse()
+    return out
 
 
 def _rank(rows: Iterable[int]) -> int:
-    pivots: dict[int, int] = {}
-    for row in rows:
-        r = row
-        while r:
-            p = r.bit_length() - 1
-            if p in pivots:
-                r ^= pivots[p]
-            else:
-                pivots[p] = r
-                break
-    return len(pivots)
+    return len(_echelon(rows))
 
 
-@dataclass(frozen=True)
+def _checked_rows(n: int, rows: Iterable[int]) -> tuple[int, ...]:
+    """``rows`` as a tuple if it is exactly the canonical basis that
+    ``_rref`` returns for its span; ValueError otherwise.
+
+    Checks the invariants directly instead of recomputing the form: no zero
+    row, rows fit in n bits, pivots (leading bits) strictly descending, and
+    each row's only bit in a pivot column is its own pivot.
+    """
+    if n <= 0:
+        raise DimensionError(f"ambient must be positive, got {n}")
+    rows = tuple(rows)
+    pivot_mask = 0
+    last = n
+    for r in rows:
+        p = r.bit_length() - 1
+        if r <= 0 or p >= last:
+            raise ValueError("basis is not in canonical reduced form")
+        last = p
+        pivot_mask |= 1 << p
+    if not all(r & pivot_mask == 1 << (r.bit_length() - 1) for r in rows):
+        raise ValueError("basis is not in canonical reduced form")
+    return rows
+
+
 class Subspace:
     """A linear subspace of F2^n held as a canonical RREF basis.
 
-    ``basis`` rows are pivot-sorted (leftmost pivot first), each pivot
-    column is cleared in all other rows, and no row is zero.  Two Subspace
-    values are equal exactly when they contain the same points.
+    ``rows`` holds the basis packed into ints: pivot-sorted (leftmost pivot
+    first), each pivot column cleared in all other rows, no row zero.  Two
+    Subspace values are equal exactly when they contain the same points.
+    ``basis`` is the same basis as a tuple of F2Vector.
+
+    The constructors check the invariants; code in this module that holds
+    rows canonical by construction builds through ``_trusted`` instead.  The
+    value is immutable, so its dual is computed at most once (see ``dual``).
     """
 
     ambient_n: int
-    basis: tuple[F2Vector, ...]
+    rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.ambient_n <= 0:
-            raise DimensionError(f"ambient must be positive, got {self.ambient_n}")
-        rows = [b.value for b in self.basis]
-        if any(b.n != self.ambient_n for b in self.basis):
+    def __init__(self, ambient_n: int, basis: Sequence[F2Vector]) -> None:
+        basis = tuple(basis)
+        if any(b.n != ambient_n for b in basis):
             raise DimensionError("basis row length != ambient")
-        if rows != _rref(rows):
-            raise ValueError("basis is not in canonical reduced form")
+        rows = _checked_rows(ambient_n, (b.value for b in basis))
+        self.__dict__.update(ambient_n=ambient_n, rows=rows, basis=basis)
+
+    @classmethod
+    def from_rows(cls, ambient_n: int, rows: Iterable[int]) -> "Subspace":
+        """Checked construction from int-packed rows that must already be in
+        canonical form (ValueError otherwise)."""
+        return _trusted(ambient_n, _checked_rows(ambient_n, rows))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Subspace is immutable (cannot set {name!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self is other or (self.ambient_n == other.ambient_n and self.rows == other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_n, self.rows))
+
+    @cached_property
+    def basis(self) -> tuple[F2Vector, ...]:
+        return tuple(F2Vector(self.ambient_n, r) for r in self.rows)
+
+    @cached_property
+    def _dual(self) -> "Subspace":
+        n = self.ambient_n
+        pivots = [r.bit_length() - 1 for r in self.rows]
+        pivot_set = set(pivots)
+        out = []
+        for f in range(n - 1, -1, -1):
+            if f in pivot_set:
+                continue
+            w = 1 << f
+            for row, pbit in zip(self.rows, pivots):
+                if (row >> f) & 1:
+                    w |= 1 << pbit
+            out.append(w)
+        return _trusted(n, _rref(out))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def __len__(self) -> int:
         return 1 << self.dim
 
     def elements(self) -> Iterator[F2Vector]:
         """Iterate all 2^dim points (small dimensions only)."""
-        rows = [b.value for b in self.basis]
+        rows = self.rows
         for mask in range(1 << len(rows)):
             acc = 0
             m = mask
@@ -202,7 +270,7 @@ class Subspace:
         return frozenset(self.elements())
 
     def __str__(self) -> str:
-        return "\n".join(str(b) for b in self.basis)
+        return "\n".join(format(r, f"0{self.ambient_n}b") for r in self.rows)
 
     def __repr__(self) -> str:
         return f"Subspace(n={self.ambient_n}, dim={self.dim})"
@@ -214,6 +282,13 @@ class Subspace:
         if not lines:
             raise ValueError("empty subspace text (ambient unknown)")
         return canonicalize([F2Vector.from_string(ln.strip()) for ln in lines])
+
+
+def _trusted(ambient_n: int, rows: Sequence[int]) -> Subspace:
+    """A Subspace from rows that are canonical by construction (unchecked)."""
+    space = object.__new__(Subspace)
+    space.__dict__.update(ambient_n=ambient_n, rows=tuple(rows))
+    return space
 
 
 def canonicalize(vectors: Sequence[F2Vector], ambient_n: int | None = None) -> Subspace:
@@ -231,8 +306,7 @@ def canonicalize(vectors: Sequence[F2Vector], ambient_n: int | None = None) -> S
         if ambient_n is None:
             raise DimensionError("empty input needs an explicit ambient_n")
         n = ambient_n
-    rows = _rref(v.value for v in vectors)
-    return Subspace(n, tuple(F2Vector(n, r) for r in rows))
+    return _trusted(n, _rref(v.value for v in vectors))
 
 
 def member(space: Subspace, v: F2Vector) -> bool:
@@ -240,35 +314,37 @@ def member(space: Subspace, v: F2Vector) -> bool:
     if v.n != space.ambient_n:
         raise DimensionError("vector length != ambient")
     x = v.value
-    for row in space.basis:
-        r = row.value
+    for r in space.rows:
         if x >> (r.bit_length() - 1) & 1:
             x ^= r
     return x == 0
 
 
 def dual(space: Subspace) -> Subspace:
-    """The orthogonal complement {b : a.b = 0 for all a in space}."""
-    n = space.ambient_n
-    pivots = [b.value.bit_length() - 1 for b in space.basis]
-    pivot_set = set(pivots)
-    free = [p for p in range(n - 1, -1, -1) if p not in pivot_set]
-    out = []
-    for f in free:
-        w = 1 << f
-        for prow, pbit in zip(space.basis, pivots):
-            if (prow.value >> f) & 1:
-                w |= 1 << pbit
-        out.append(F2Vector(n, w))
-    return canonicalize(out, ambient_n=n)
+    """The orthogonal complement {b : a.b = 0 for all a in space}.
+
+    Computed once per Subspace value and memoised on it.
+    """
+    return space._dual
 
 
 def member_or_dual(space: Subspace, v: F2Vector, p: int) -> int:
-    """Membership bit for the space (p=0) or its dual (p=1)."""
+    """Membership bit for the space (p=0) or its dual (p=1).
+
+    v is in the dual exactly when it is orthogonal to every basis row, so
+    the dual test needs no dual basis.
+    """
     if p not in (0, 1):
         raise ValueError(f"selector must be 0 or 1, got {p!r}")
-    target = space if p == 0 else dual(space)
-    return 1 if member(target, v) else 0
+    if p == 0:
+        return 1 if member(space, v) else 0
+    if v.n != space.ambient_n:
+        raise DimensionError("vector length != ambient")
+    x = v.value
+    for r in space.rows:
+        if (x & r).bit_count() & 1:
+            return 0
+    return 1
 
 
 def sample_subspace(n: int, rng: Random) -> Subspace:
@@ -277,18 +353,19 @@ def sample_subspace(n: int, rng: Random) -> Subspace:
         raise DimensionError(f"ambient must be even and >= 2, got {n}")
     k = n // 2
     while True:
-        rows = [rng.getrandbits(n) for _ in range(k)]
-        if _rank(rows) == k:
-            return canonicalize([F2Vector(n, r) for r in rows])
+        rows = _rref(rng.getrandbits(n) for _ in range(k))
+        if len(rows) == k:
+            return _trusted(n, rows)
 
 
 def sample_element(space: Subspace, rng: Random) -> F2Vector:
     """Uniform point of the subspace (the zero vector included)."""
     acc = 0
     mask = rng.getrandbits(space.dim) if space.dim else 0
-    for i, row in enumerate(space.basis):
-        if (mask >> i) & 1:
-            acc ^= row.value
+    for row in space.rows:
+        if mask & 1:
+            acc ^= row
+        mask >>= 1
     return F2Vector(space.ambient_n, acc)
 
 
@@ -305,7 +382,7 @@ def intersection_dim(a: Subspace, b: Subspace) -> int:
     """dim(a ∩ b), computed as dim a + dim b − dim(a + b)."""
     if a.ambient_n != b.ambient_n:
         raise DimensionError("ambient mismatch")
-    joint = _rank(itertools.chain((r.value for r in a.basis), (r.value for r in b.basis)))
+    joint = _rank(itertools.chain(a.rows, b.rows))
     return a.dim + b.dim - joint
 
 
@@ -320,7 +397,7 @@ def sample_related(space: Subspace, rng: Random) -> Subspace:
     if k != n // 2 or n % 2:
         raise DimensionError("expected a half-dimension subspace of even ambient")
     f = random_invertible(k, rng)
-    rows = [r.value for r in space.basis]
+    rows = space.rows
     kept = []
     for i in range(k - 1):
         acc = 0
@@ -328,12 +405,13 @@ def sample_related(space: Subspace, rng: Random) -> Subspace:
         for j in range(k):
             if (row_i >> (k - 1 - j)) & 1:
                 acc ^= rows[j]
-        kept.append(F2Vector(n, acc))
+        kept.append(acc)
     while True:
         v = F2Vector(n, rng.getrandbits(n))
         if not member(space, v):
             break
-    return canonicalize(kept + [v])
+    kept.append(v.value)
+    return _trusted(n, _rref(kept))
 
 
 def gaussian_binomial(m: int, k: int) -> int:
@@ -377,8 +455,8 @@ def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:
                     if (assign >> pos) & 1:
                         row |= 1 << (n - 1 - c)
                     pos += 1
-                rows.append(F2Vector(n, row))
-            yield Subspace(n, tuple(rows))
+                rows.append(row)
+            yield _trusted(n, rows)
 
 
 @dataclass(frozen=True)

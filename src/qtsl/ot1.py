@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
-from .f2lin import F2Vector, Subspace, dual, member, sample_subspace
+from .f2lin import DimensionError, F2Vector, Subspace, member_or_dual, sample_subspace
 from .qsim import (
     CosetState,
     hadamard_all,
@@ -70,7 +70,6 @@ class MembershipOracle:
         if mode not in ("public", "withheld"):
             raise ValueError(f"bad oracle mode {mode!r}")
         self.__space = space
-        self.__dual = dual(space)
         self.__mode = mode
         self.__count = 0
         self.__lock = threading.Lock()
@@ -96,8 +95,7 @@ class MembershipOracle:
             raise ValueError(f"selector must be 0 or 1, got {p!r}")
         with self.__lock:
             self.__count += 1
-        target = self.__space if p == 0 else self.__dual
-        return 1 if member(target, v) else 0
+        return member_or_dual(self.__space, v, p)
 
     def _charge(self, amount: int) -> None:
         with self.__lock:
@@ -198,9 +196,13 @@ def ot1_sign(alpha: int, token: Ot1Token, rng: Random) -> Ot1Signature | None:
 def ot1_verify(pk: MembershipOracle, alpha: int, sig: F2Vector) -> bool:
     """Accept iff the oracle confirms membership and the vector is nonzero.
 
-    Always consumes exactly one oracle query.
+    Always consumes exactly one oracle query.  A vector of the wrong length
+    is rejected, never raised on.
     """
-    bit = pk.query(sig, 1 if alpha else 0)
+    try:
+        bit = pk.query(sig, 1 if alpha else 0)
+    except DimensionError:
+        return False
     return bool(bit) and not sig.is_zero()
 
 

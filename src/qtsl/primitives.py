@@ -128,7 +128,7 @@ if _HAVE_ED25519:
 
     # parsing raw bytes into key objects dominates verify time in the
     # experiment loops, so memoize it
-    @lru_cache(maxsize=4096)
+    @lru_cache(maxsize=256)
     def _ed25519_public(material: bytes):
         return Ed25519PublicKey.from_public_bytes(material)
 
@@ -145,10 +145,6 @@ def default_ds_algo() -> str:
 class DsPublicKey:
     algo: str
     material: bytes
-
-    @property
-    def deterministic_verify(self) -> bool:
-        return True
 
 
 @dataclass
@@ -299,7 +295,7 @@ def _ds_verify_uncached(pk: DsPublicKey, message: bytes, signature: bytes) -> bo
 
 
 _VERIFY_CACHE: dict[tuple[str, bytes, bytes, bytes], bool] = {}
-_VERIFY_CACHE_MAX = 8192
+_VERIFY_CACHE_MAX = 256
 
 
 def ds_verify(pk: DsPublicKey, message: bytes, signature: bytes) -> bool:
@@ -307,15 +303,17 @@ def ds_verify(pk: DsPublicKey, message: bytes, signature: bytes) -> bool:
 
     Both algorithms verify deterministically, so repeated checks of the same
     triple (common when a long-lived credential is re-validated on every use)
-    are answered from a bounded memo.
+    are answered from a small memo.  The memo is keyed by the message's
+    SHA-256, not the message, so an entry stays small however long the
+    certified key encoding is.
     """
     if not isinstance(signature, (bytes, bytearray)):
         return False
-    key = (pk.algo, pk.material, message, bytes(signature))
+    key = (pk.algo, pk.material, hashlib.sha256(message).digest(), bytes(signature))
     hit = _VERIFY_CACHE.get(key)
     if hit is not None:
         return hit
-    ok = _ds_verify_uncached(pk, key[2], key[3])
+    ok = _ds_verify_uncached(pk, message, key[3])
     if len(_VERIFY_CACHE) >= _VERIFY_CACHE_MAX:
         _VERIFY_CACHE.clear()
     _VERIFY_CACHE[key] = ok

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Any
 
 from .encoding import canonical_json, decode_space, encode_space
-from .f2lin import F2Vector, Subspace, member, member_or_dual, sample_subspace
+from .f2lin import F2Vector, Subspace, member_or_dual, sample_subspace
 from .ot1 import KEY_ID_BYTES, Ot1Token, TokenSpentError, default_dimension
 from .primitives import (
     DataError,
@@ -108,8 +107,9 @@ def priv_ot1_sign(alpha: int, token: Ot1Token, rng: Random) -> F2Vector | None:
 
 
 def priv_ot1_verify(key: PrivOt1Key, alpha: int, sig: F2Vector) -> bool:
-    """Direct membership test against the key; zero never verifies."""
-    if sig.is_zero():
+    """Direct membership test against the key; zero and vectors of the wrong
+    length never verify."""
+    if sig.is_zero() or sig.n != key.space.ambient_n:
         return False
     return bool(member_or_dual(key.space, sig, 1 if alpha else 0))
 
@@ -251,7 +251,7 @@ def tm_sign(doc: bytes, token: TmToken, rng: Random) -> TmSignature | None:
 
 
 _BLOB_CACHE: dict[tuple[bytes, bytes, bytes, bytes], "OtPublicKey | None"] = {}
-_BLOB_CACHE_MAX = 4096
+_BLOB_CACHE_MAX = 256
 
 
 def _open_key_blob(

@@ -7,7 +7,8 @@ transition probabilities are exact closed forms.
 
 The *dense model* is a literal state vector of 2^n amplitudes, usable up to
 n = 12, and exists to validate the coset model against brute-force linear
-algebra.
+algebra.  It is the only user of numpy, which its functions import on first
+use so that the symbolic model (and the CLI) load without it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .f2lin import (
     DimensionError,
@@ -25,8 +25,12 @@ from .f2lin import (
     dual,
     intersection_dim,
     member,
+    member_or_dual,
     sample_element,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CosetState",
@@ -132,12 +136,14 @@ def projection_accept_probability(state: CosetState, space: Subspace) -> float:
     if space.ambient_n != n:
         raise DimensionError("ambient mismatch")
     if state.kind == "subspace":
+        if state.space == space:
+            return 1.0
         d = intersection_dim(state.space, space)
         return 2.0 ** (2 * d - state.space.dim - space.dim)
     if state.kind == "basis":
         return 2.0 ** (-space.dim) if member(space, state.vector) else 0.0
     if state.kind == "phase":
-        return 2.0 ** (space.dim - n) if member(dual(space), state.vector) else 0.0
+        return 2.0 ** (space.dim - n) if member_or_dual(space, state.vector, 1) else 0.0
     return 0.0
 
 
@@ -170,6 +176,8 @@ class DenseState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if self.n > DENSE_MAX_N:
             raise DimensionError(f"dense model capped at n={DENSE_MAX_N}")
         if self.amplitudes.shape != (1 << self.n,):
@@ -180,6 +188,8 @@ class DenseState:
 
 
 def to_dense(state: CosetState) -> DenseState:
+    import numpy as np
+
     n = state.ambient_n
     amps = np.zeros(1 << n, dtype=np.complex128)
     if state.kind == "subspace":
@@ -220,6 +230,8 @@ def dense_hadamard_all(state: DenseState) -> DenseState:
 
 
 def dense_measure(state: DenseState, rng: Random) -> tuple[F2Vector, DenseState]:
+    import numpy as np
+
     probs = np.abs(state.amplitudes) ** 2
     cum = np.cumsum(probs)
     u = rng.random() * cum[-1]
@@ -231,6 +243,8 @@ def dense_measure(state: DenseState, rng: Random) -> tuple[F2Vector, DenseState]
 
 
 def _subspace_amplitudes(n: int, space: Subspace) -> np.ndarray:
+    import numpy as np
+
     amps = np.zeros(1 << n, dtype=np.complex128)
     a = 1.0 / math.sqrt(len(space))
     for el in space.elements():
@@ -242,6 +256,8 @@ def dense_project(
     state: DenseState, space: Subspace, rng: Random
 ) -> tuple[bool, DenseState]:
     """Rank-one projection onto the uniform superposition over ``space``."""
+    import numpy as np
+
     target = _subspace_amplitudes(state.n, space)
     overlap = np.vdot(target, state.amplitudes)
     p = float(abs(overlap) ** 2)
@@ -261,6 +277,8 @@ def dense_project_two_step(
     """Same measurement realized as the two-query sequence: project onto the
     subspace pointwise, then onto its dual in the Hadamard basis.  Agrees with
     :func:`dense_project` on acceptance statistics and the accepted state."""
+    import numpy as np
+
     n = state.n
     mask = np.zeros(1 << n)
     for el in space.elements():
@@ -294,6 +312,8 @@ def dense_project_two_step(
 
 def hadamard_matrix(n: int) -> np.ndarray:
     """The 2^n × 2^n matrix of the all-coordinates Hadamard."""
+    import numpy as np
+
     if n > DENSE_MAX_N:
         raise DimensionError(f"dense model capped at n={DENSE_MAX_N}")
     size = 1 << n
@@ -306,6 +326,8 @@ def hadamard_matrix(n: int) -> np.ndarray:
 
 def subspace_projector(n: int, space: Subspace) -> np.ndarray:
     """Diagonal 0/1 projector onto the points of ``space``."""
+    import numpy as np
+
     diag = np.zeros(1 << n)
     for el in space.elements():
         diag[el.value] = 1.0

@@ -16,13 +16,14 @@ same code serves both the oracle-based scheme and the private-key variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 from typing import Any, Callable
 
 from .f2lin import F2Vector
 from . import ot1 as _ot1
-from .encoding import canonical_json, encode_space, encode_vector
-from .ot1 import MembershipOracle, Ot1SecretKey, Ot1Token, _hidden_space
+from .encoding import canonical_json, encode_space
+from .ot1 import Ot1Token, _hidden_space
 from .primitives import (
     DsPublicKey,
     DsSecretKey,
@@ -32,7 +33,6 @@ from .primitives import (
     hash_bits,
     hash_eval,
     hash_index,
-    hash_kappa,
 )
 
 __all__ = [
@@ -221,6 +221,11 @@ class OtPublicKey:
     def r(self) -> int:
         return self.otr.r
 
+    @cached_property
+    def _encoded(self) -> bytes:
+        spaces = [encode_space(_hidden_space(c)) for c in self.otr.components]
+        return canonical_json({"v": 1, "kind": "ot-pub", "s": self.s.hex(), "spaces": spaces})
+
 
 @dataclass(frozen=True)
 class OtSecretKey:
@@ -322,9 +327,9 @@ def encode_ot_public(pub: OtPublicKey) -> bytes:
     a coin serial, so it must be stable: version tag, hash index, and each
     component's hidden subspace in canonical basis order (the simulation
     serializes the subspace itself where a deployment would ship a program).
+    The key is immutable, so the bytes are computed once and kept on it.
     """
-    spaces = [encode_space(_hidden_space(c)) for c in pub.otr.components]
-    return canonical_json({"v": 1, "kind": "ot-pub", "s": pub.s.hex(), "spaces": spaces})
+    return pub._encoded
 
 
 def ts_keygen(

@@ -450,3 +450,34 @@ def test_cli_same_seed_same_bytes(tmp_path):
     assert _qtsl("mint", "--secret-key", pairs[0][1], "--out", ta, "--seed", 4) == 0
     assert _qtsl("mint", "--secret-key", pairs[1][1], "--out", tb, "--seed", 4) == 0
     assert ta.read_bytes() == tb.read_bytes()
+
+
+def test_cli_verify_wrong_length_vectors_rejects(tmp_path, capsys):
+    """A certified signature whose vectors have the wrong length is a
+    REJECT (exit 1), not malformed input (exit 2)."""
+    pub, sec = _keys(tmp_path)
+    token, sig = tmp_path / "tok", tmp_path / "sig"
+    rc = 1
+    for seed in range(40):
+        assert _qtsl("mint", "--secret-key", sec, "--out", token, "--seed", seed) == 0
+        rc = _qtsl("sign", "--token", token, "--text", "pay bob 5", "--out", sig, "--seed", seed)
+        if rc == 0:
+            break
+    assert rc == 0
+    payload = json.loads(sig.read_bytes())["payload"]
+    sig.write_bytes(_twisted(sig.read_bytes(), sigs=["1" * 6 for _ in payload["sigs"]]))
+    capsys.readouterr()
+    assert _qtsl("verify", "--public-key", pub, "--text", "pay bob 5", "--signature", sig) == 1
+    assert "REJECT" in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_numpy():
+    """numpy serves only the dense validation model; the CLI never needs it."""
+    import subprocess
+    import sys
+
+    code = "import sys, qtsl.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "False"

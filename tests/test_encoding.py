@@ -135,3 +135,45 @@ def test_encoding_is_stable_bytes():
     a = canonical_json(encode_state(subspace_state(s)))
     b = canonical_json(encode_state(subspace_state(s)))
     assert a == b
+
+
+@pytest.mark.parametrize("bad", ["", " 101", "101 ", "1_0", "0b1", "-101", "+1", b"101", 101, 1.0])
+def test_vector_decode_rejects_what_int_parsing_accepts(bad):
+    with pytest.raises(DataError):
+        decode_vector(bad)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 12), st.data())
+def test_space_roundtrip_property(n, data):
+    from qtsl.f2lin import canonicalize
+
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))
+    space = canonicalize([F2Vector(n, r) for r in rows], ambient_n=n)
+    back = decode_space(encode_space(space))
+    assert back == space
+    assert encode_space(back) == encode_space(space)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 8), st.data())
+def test_space_decode_rejects_every_non_canonical_row_list(n, data):
+    from qtsl.f2lin import _rref
+
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 1))
+    obj = {"n": n, "rows": [format(r, f"0{n}b") for r in rows]}
+    if rows == _rref(rows):
+        assert list(decode_space(obj).rows) == rows
+    else:
+        with pytest.raises(DataError):
+            decode_space(obj)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="01 _b+-x\t", max_size=12))
+def test_vector_decode_accepts_exactly_bit_strings(text):
+    if text and all(c in "01" for c in text):
+        assert decode_vector(text) == F2Vector(len(text), int(text, 2))
+    else:
+        with pytest.raises(DataError):
+            decode_vector(text)

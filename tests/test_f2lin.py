@@ -19,6 +19,7 @@ from qtsl.f2lin import (
     image,
     intersection_dim,
     member,
+    member_or_dual,
     random_invertible,
     sample_element,
     sample_nonzero_element,
@@ -288,3 +289,122 @@ def test_singular_matrix_has_no_inverse():
     assert _invert_rows(2, [0b10, 0b10]) is None
     assert _invert_rows(3, [0b110, 0b011, 0b101]) is None  # rows sum to zero
     assert _invert_rows(2, [0b10, 0b01]) == (0b10, 0b01)
+
+
+# ---------------------------------------------------------------------------
+# canonical-form invariants and the dual memo
+# ---------------------------------------------------------------------------
+
+
+def _rref_reference(rows):
+    """Straightforward RREF: clear each new pivot column everywhere."""
+    by_pivot = {}
+    for r in rows:
+        for q, other in by_pivot.items():
+            if (r >> q) & 1:
+                r ^= other
+        if not r:
+            continue
+        p = r.bit_length() - 1
+        for q, other in by_pivot.items():
+            if (other >> p) & 1:
+                by_pivot[q] = other ^ r
+        by_pivot[p] = r
+    return [by_pivot[p] for p in sorted(by_pivot, reverse=True)]
+
+
+@st.composite
+def row_lists(draw, max_n=8):
+    """(n, rows): canonical bases and bases broken in each way the invariant
+    check must catch (zero rows, repeated pivots, unreduced pivot columns,
+    wrong order), plus arbitrary int lists."""
+    n = draw(st.integers(1, max_n))
+    word = st.integers(0, (1 << n) - 1)
+    rows = _rref_reference(draw(st.lists(word, max_size=n + 1)))
+    how = draw(st.sampled_from(["as-is", "zero", "repeat", "unreduce", "swap", "arbitrary"]))
+    if how == "zero":
+        rows.insert(draw(st.integers(0, len(rows))), 0)
+    elif how == "repeat" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.insert(i, rows[i])
+    elif how == "unreduce" and len(rows) >= 2:
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+        rows[i] ^= rows[j]
+    elif how == "swap" and len(rows) >= 2:
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+        rows[i], rows[j] = rows[j], rows[i]
+    elif how == "arbitrary":
+        rows = draw(st.lists(word, max_size=n + 1))
+    return n, rows
+
+
+@settings(max_examples=400)
+@given(row_lists())
+def test_subspace_accepts_exactly_the_rref(case):
+    n, rows = case
+    canonical = rows == _rref_reference(rows)
+    basis = tuple(F2Vector(n, r) for r in rows)
+    if canonical:
+        space = Subspace(n, basis)
+        assert space.rows == tuple(rows) and space.basis == basis
+        assert Subspace.from_rows(n, rows) == space
+        assert canonicalize(list(basis), ambient_n=n) == space
+    else:
+        with pytest.raises(ValueError):
+            Subspace(n, basis)
+        with pytest.raises(ValueError):
+            Subspace.from_rows(n, rows)
+
+
+def test_subspace_from_rows_rejects_wide_rows():
+    with pytest.raises(ValueError):
+        Subspace.from_rows(3, [0b1000])
+    with pytest.raises(DimensionError):
+        Subspace.from_rows(0, [])
+
+
+def test_subspace_is_immutable():
+    space = canonicalize([F2Vector(4, 0b0110)])
+    with pytest.raises(AttributeError):
+        space.rows = (0b0001,)
+    with pytest.raises(AttributeError):
+        space.ambient_n = 5
+
+
+def _dual_by_enumeration(space: Subspace) -> Subspace:
+    n = space.ambient_n
+    orthogonal = [
+        F2Vector(n, x)
+        for x in range(1 << n)
+        if all((x & r).bit_count() % 2 == 0 for r in space.rows)
+    ]
+    return canonicalize(orthogonal, ambient_n=n)
+
+
+@settings(max_examples=150)
+@given(row_lists(max_n=7))
+def test_dual_memo_matches_fresh_computation(case):
+    n, rows = case
+    space = canonicalize([F2Vector(n, r) for r in rows], ambient_n=n)
+    d = dual(space)
+    assert dual(space) is d  # computed once per value
+    assert d == _dual_by_enumeration(space)
+    assert dual(d) == space
+    # an equal value built separately computes the same dual afresh
+    twin = Subspace(n, space.basis)
+    assert twin is not space and dual(twin) == d
+    # the dual membership bit is orthogonality to the primal basis
+    for x in range(1 << n):
+        v = F2Vector(n, x)
+        assert member_or_dual(space, v, 1) == member(d, v)
+        assert member_or_dual(space, v, 0) == member(space, v)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 40), st.data())
+def test_rref_matches_reference(n, data):
+    from qtsl.f2lin import _rank, _rref
+
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 3))
+    assert _rref(rows) == _rref_reference(rows)
+    assert _rank(rows) == len(_rref_reference(rows))

@@ -289,3 +289,19 @@ def test_simulate_bank_conservation_small():
         _, stats = simulate_bank(script, Random(100 + seed))
         assert stats["issued"] <= stats["burned"]
         assert stats["minted"] == 2 and stats["burned"] == 2
+
+
+def test_branch_cash_wrong_length_vectors_rejected():
+    import dataclasses
+
+    from qtsl.f2lin import F2Vector
+
+    pk, sk, rng = bank(9)
+    br = ledger_branch(pk)
+    check = write_ok(lambda: coin_mint(sk, rng), "bob", 7, T0, rng)
+    ot_sig = check.signature.ot_sig
+    short = tuple(F2Vector(v.n - 2, v.value >> 2) for v in ot_sig.sigs)
+    sig = dataclasses.replace(check.signature, ot_sig=dataclasses.replace(ot_sig, sigs=short))
+    _, ev = branch_cash(br, dataclasses.replace(check, signature=sig), T0, rng)
+    assert ev.kind == "RejectBadSignature"
+    assert not br.cashed

@@ -235,3 +235,13 @@ def test_revoke_honest_token():
     token = ot1_token_gen(sk)
     ot1_revoke(pk, token, rng)
     assert token.lifecycle == "spent"
+
+
+def test_verify_rejects_wrong_length_vector():
+    pk, sk, _ = fresh(n=8)
+    inside = next(v for v in sk.space.elements() if not v.is_zero())
+    for wrong in (F2Vector(6, inside.value >> 2), F2Vector(10, inside.value << 2)):
+        before = pk.query_count
+        assert ot1_verify(pk, 0, wrong) is False
+        assert ot1_verify(pk, 1, wrong) is False
+        assert pk.query_count == before + 2

@@ -201,3 +201,15 @@ def test_wrong_key_garbles():
     k2 = enc_keygen(32, rng)
     ct = encrypt(k1, b"secret content", rng)
     assert decrypt(k2, ct) != b"secret content"
+
+
+def test_verify_memo_is_bounded_and_holds_no_messages():
+    from qtsl import primitives
+
+    pk, sk = ds_keygen(32, Random(9), algo="ed25519")
+    messages = [b"certified key encoding %d " % i + b"x" * 2000 for i in range(300)]
+    for m in messages:
+        assert ds_verify(pk, m, ds_sign(sk, m))
+    assert len(primitives._VERIFY_CACHE) <= 256
+    held = {part for key in primitives._VERIFY_CACHE for part in key}
+    assert not held.intersection(messages)

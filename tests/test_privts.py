@@ -233,3 +233,26 @@ def test_tm_signature_is_selfcontained_for_verifier():
 
     clone = pickle.loads(pickle.dumps(sig))
     assert tm_verify(key, b"doc", clone)
+
+
+def test_priv_verify_rejects_wrong_length_vector():
+    key, _ = priv_ot1_keygen(16, Random(6), n_override=8)
+    inside = next(v for v in key.space.elements() if not v.is_zero())
+    for wrong in (F2Vector(6, inside.value >> 2), F2Vector(10, inside.value << 2)):
+        assert priv_ot1_verify(key, 0, wrong) is False
+        assert priv_ot1_verify(key, 1, wrong) is False
+
+
+def test_tm_verify_rejects_wrong_length_vectors():
+    import dataclasses
+
+    key, rng = tm_setup(14)
+    sig = None
+    for _ in range(40):
+        sig = tm_sign(b"doc", tm_token_gen(key, rng), rng)
+        if sig is not None:
+            break
+    assert sig is not None and tm_verify(key, b"doc", sig)
+    short = tuple(F2Vector(v.n - 2, v.value >> 2) for v in sig.ot_sig.sigs)
+    bad = dataclasses.replace(sig, ot_sig=dataclasses.replace(sig.ot_sig, sigs=short))
+    assert tm_verify(key, b"doc", bad) is False

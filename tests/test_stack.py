@@ -11,6 +11,8 @@ from qtsl.stack import (
     MdsSigner,
     MemoizedMdsSigner,
     OtrSignature,
+    OtSignature,
+    TsSignature,
     encode_ot_public,
     ot_keygen,
     ot_sign,
@@ -264,3 +266,21 @@ def test_memoized_signer_replays():
     b = signer.sign(b"same doc")
     assert a is b
     assert signer.verify(b"same doc", a)
+
+
+def test_ts_verify_rejects_wrong_length_vectors():
+    """The chain certificate covers the key, not the vectors, so a certified
+    signature with vectors of the wrong length reaches the one-bit layer;
+    it must be rejected there, not raised on."""
+    rng = Random(14)
+    pk, sk = ts_keygen(16, rng, hash_variant="toy-8", n_override=8)
+    sig = None
+    for _ in range(40):
+        sig = ts_sign(b"doc", ts_token_gen(sk, rng), rng)
+        if sig is not None:
+            break
+    assert sig is not None and ts_verify(pk, b"doc", sig)
+    for delta in (-2, 2):
+        vecs = tuple(F2Vector(v.n + delta, 1) for v in sig.ot_sig.sigs)
+        bad = TsSignature(sig.ot_public, sig.chain_sig, OtSignature(vecs))
+        assert ts_verify(pk, b"doc", bad) is False
