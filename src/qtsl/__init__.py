@@ -13,7 +13,6 @@ built on top.
 from .f2lin import (
     DimensionError,
     F2Vector,
-    InvertibleMap,
     Subspace,
     canonicalize,
     dual,
@@ -21,7 +20,6 @@ from .f2lin import (
     gaussian_binomial,
     intersection_dim,
     member,
-    random_invertible,
     sample_related,
     sample_subspace,
 )
@@ -50,6 +48,7 @@ from .ot1 import (
     TokenSpentError,
     default_dimension,
     ot1_keygen,
+    ot1_measure,
     ot1_revoke,
     ot1_sign,
     ot1_token_gen,
@@ -68,8 +67,6 @@ from .primitives import (
     hash_index,
 )
 from .stack import (
-    MdsSigner,
-    MemoizedMdsSigner,
     OtrSignature,
     TsPublicKey,
     TsSecretKey,
@@ -97,7 +94,6 @@ from .privts import (
     TmSignature,
     TmToken,
     priv_ot1_keygen,
-    priv_ot1_sign,
     priv_ot1_verify,
     tm_keygen,
     tm_revoke,

@@ -57,6 +57,7 @@ from .stack import (
     TsSecretKey,
     TsSignature,
     TsToken,
+    one_bit_tokens,
     ts_keygen,
     ts_revoke,
     ts_sign,
@@ -281,34 +282,30 @@ def _dec_ot1_token(payload: dict) -> Ot1Token:
     return Ot1Token(decode_state(_dict(payload, "state")), _hex(payload, "key_id"), lifecycle)
 
 
-def encode_token(token: TsToken) -> bytes:
-    payload = {
+def _token_payload(token: TsToken) -> dict:
+    return {
         "ot_public": _enc_ot_public(token.ot_public),
         "chain_sig": token.chain_sig.hex(),
         "tokens": [_enc_ot1_token(t) for t in token.ot_token.otr.tokens],
     }
-    return wrap_container("token", payload)
 
 
-def decode_token(data: bytes) -> TsToken:
-    _, payload = unwrap_container(data, "token")
+def _token_from_payload(payload: dict) -> TsToken:
     ot_public = _dec_ot_public(_dict(payload, "ot_public"))
     toks = [_dec_ot1_token(t) for t in _list(payload, "tokens")]
     inner = OtToken(ot_public.s, OtrToken(toks))
     return TsToken(ot_public, _hex(payload, "chain_sig"), inner)
 
 
-def encode_signature(sig: TsSignature) -> bytes:
-    payload = {
+def _sig_payload(sig: TsSignature) -> dict:
+    return {
         "ot_public": _enc_ot_public(sig.ot_public),
         "chain_sig": sig.chain_sig.hex(),
         "sigs": [encode_vector(v) for v in sig.ot_sig.sigs],
     }
-    return wrap_container("signature", payload)
 
 
-def decode_signature(data: bytes) -> TsSignature:
-    _, payload = unwrap_container(data, "signature")
+def _sig_from_payload(payload: dict) -> TsSignature:
     vecs = []
     for s in _list(payload, "sigs"):
         if not isinstance(s, str):
@@ -321,9 +318,20 @@ def decode_signature(data: bytes) -> TsSignature:
     )
 
 
-def _sig_payload(sig: TsSignature) -> dict:
-    _, payload = unwrap_container(encode_signature(sig), "signature")
-    return payload
+def encode_token(token: TsToken) -> bytes:
+    return wrap_container("token", _token_payload(token))
+
+
+def decode_token(data: bytes) -> TsToken:
+    return _token_from_payload(unwrap_container(data, "token")[1])
+
+
+def encode_signature(sig: TsSignature) -> bytes:
+    return wrap_container("signature", _sig_payload(sig))
+
+
+def decode_signature(data: bytes) -> TsSignature:
+    return _sig_from_payload(unwrap_container(data, "signature")[1])
 
 
 def encode_check(check: Check) -> bytes:
@@ -348,19 +356,17 @@ def decode_check(data: bytes) -> Check:
     nonce = _hex(payload, "nonce")
     if len(nonce) != 16:
         raise DataError("nonce must be 16 bytes")
-    sig_payload = _dict(payload, "signature")
-    sig = decode_signature(wrap_container("signature", sig_payload))
+    sig = _sig_from_payload(_dict(payload, "signature"))
     return Check(_need(payload, "payee", str), branch_id, timestamp, nonce, sig)
 
 
 def encode_coin(coin: Coin) -> bytes:
-    _, token_payload = unwrap_container(encode_token(coin.token), "token")
-    return wrap_container("coin", {"serial": coin.serial, "token": token_payload})
+    return wrap_container("coin", {"serial": coin.serial, "token": _token_payload(coin.token)})
 
 
 def decode_coin(data: bytes) -> Coin:
     _, payload = unwrap_container(data, "coin")
-    token = decode_token(wrap_container("token", _dict(payload, "token")))
+    token = _token_from_payload(_dict(payload, "token"))
     return Coin(_need(payload, "serial", str), token)
 
 
@@ -417,7 +423,7 @@ def _cmd_mint(args) -> int:
 
 
 def _require_fresh(token: TsToken) -> None:
-    if any(t.lifecycle != "fresh" for t in token.ot_token.otr.tokens):
+    if any(t.lifecycle != "fresh" for t in one_bit_tokens(token)):
         raise TokenSpentError("token file holds a consumed token")
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "DimensionError",
     "F2Vector",
     "Subspace",
-    "InvertibleMap",
     "xor_add",
     "dot",
     "canonicalize",
@@ -33,10 +32,6 @@ __all__ = [
     "sample_related",
     "gaussian_binomial",
     "enumerate_subspaces",
-    "random_invertible",
-    "identity_map",
-    "apply_map",
-    "image",
 ]
 
 
@@ -54,7 +49,7 @@ class F2Vector:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise DimensionError(f"vector length must be positive, got {self.n}")
-        if not 0 <= self.value < (1 << self.n):
+        if self.value < 0 or self.value.bit_length() > self.n:  # no 2^n int built
             raise ValueError(f"value {self.value} out of range for length {self.n}")
 
     @classmethod
@@ -396,12 +391,14 @@ def sample_related(space: Subspace, rng: Random) -> Subspace:
     k = space.dim
     if k != n // 2 or n % 2:
         raise DimensionError("expected a half-dimension subspace of even ambient")
-    f = random_invertible(k, rng)
+    while True:  # a uniform invertible k×k mixing matrix, by rejection
+        mix = [rng.getrandbits(k) for _ in range(k)]
+        if _rank(mix) == k:
+            break
     rows = space.rows
     kept = []
-    for i in range(k - 1):
+    for row_i in mix[: k - 1]:
         acc = 0
-        row_i = f.rows[i]
         for j in range(k):
             if (row_i >> (k - 1 - j)) & 1:
                 acc ^= rows[j]
@@ -457,69 +454,3 @@ def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:
                     pos += 1
                 rows.append(row)
             yield _trusted(n, rows)
-
-
-@dataclass(frozen=True)
-class InvertibleMap:
-    """An invertible linear map on F2^n, stored as matrix rows (packed ints)."""
-
-    n: int
-    rows: tuple[int, ...]
-    inverse_rows: tuple[int, ...]
-
-    def __call__(self, v: F2Vector) -> F2Vector:
-        return apply_map(self, v)
-
-    def inverse(self) -> "InvertibleMap":
-        return InvertibleMap(self.n, self.inverse_rows, self.rows)
-
-
-def _invert_rows(n: int, rows: Sequence[int]) -> tuple[int, ...] | None:
-    """Gauss-Jordan inverse of an n×n bit matrix, or None if singular."""
-    aug = [(rows[i] << n) | (1 << (n - 1 - i)) for i in range(n)]
-    for col in range(n):
-        bit = (n - 1 - col) + n
-        piv = None
-        for i in range(col, n):
-            if (aug[i] >> bit) & 1:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for i in range(n):
-            if i != col and (aug[i] >> bit) & 1:
-                aug[i] ^= aug[col]
-    mask = (1 << n) - 1
-    return tuple(aug[i] & mask for i in range(n))
-
-
-def random_invertible(n: int, rng: Random) -> InvertibleMap:
-    """Uniform invertible n×n matrix over F2 (rejection sampling)."""
-    while True:
-        rows = [rng.getrandbits(n) for _ in range(n)]
-        inv = _invert_rows(n, rows)
-        if inv is not None:
-            return InvertibleMap(n, tuple(rows), inv)
-
-
-def identity_map(n: int) -> InvertibleMap:
-    rows = tuple(1 << (n - 1 - i) for i in range(n))
-    return InvertibleMap(n, rows, rows)
-
-
-def apply_map(f: InvertibleMap, v: F2Vector) -> F2Vector:
-    if v.n != f.n:
-        raise DimensionError("vector length != map size")
-    acc = 0
-    for i, row in enumerate(f.rows):
-        if (row & v.value).bit_count() & 1:
-            acc |= 1 << (f.n - 1 - i)
-    return F2Vector(f.n, acc)
-
-
-def image(f: InvertibleMap, space: Subspace) -> Subspace:
-    """The image f(space) as a canonical Subspace."""
-    if space.ambient_n != f.n:
-        raise DimensionError("ambient != map size")
-    return canonicalize([apply_map(f, b) for b in space.basis], ambient_n=f.n)

@@ -258,8 +258,8 @@ def priv_ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
         name="priv-ot1",
         params={"kappa": kappa, "n": n},
         keygen=lambda rng: _privts.priv_ot1_keygen(kappa, rng, n),
-        token_gen=lambda sk, rng: _privts.priv_ot1_token_gen(sk),
-        sign=lambda doc, token, rng: _wrap_priv_sig(doc, _privts.priv_ot1_sign(doc, token, rng)),
+        token_gen=lambda sk, rng: _ot1.ot1_token_gen(sk),
+        sign=lambda doc, token, rng: _ot1.ot1_sign(doc, token, rng),
         verify=lambda key, doc, sig: isinstance(sig, Ot1Signature)
         and sig.alpha == doc
         and _privts.priv_ot1_verify(key, doc, sig.sig),
@@ -267,10 +267,6 @@ def priv_ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
         verify_token=lambda key, token, rng: _privts.priv_ot1_verify_token(key, token, rng),
         sig_bytes=lambda sig: f"{sig.alpha}:{sig.sig}".encode(),
     )
-
-
-def _wrap_priv_sig(doc: int, vec: F2Vector | None) -> Ot1Signature | None:
-    return None if vec is None else Ot1Signature(doc, vec, b"")
 
 
 def otr_handle(
@@ -347,8 +343,14 @@ def tm_handle(
     )
 
 
-def _revoke_document(handle: SchemeHandle, rng: Random) -> Any:
-    return handle.random_doc(rng)
+def _take_custody(token: Any) -> Any:
+    """Take a returned register out of its holder's bookkeeping.
+
+    Lifecycle flags bind honest holders only; a revoker (or an equivocator
+    replaying a residual) signs with whatever state is physically left."""
+    for tok in _stack.one_bit_tokens(token):
+        tok.lifecycle = "fresh"
+    return token
 
 
 def _revoke_states(
@@ -364,67 +366,16 @@ def _revoke_states(
     collide — the analytic references assume full-length documents, where
     collisions never happen; the one-bit desk scheme would otherwise replay.
     """
-    docs = [_revoke_document(handle, rng) for _ in states]
+    docs = [handle.random_doc(rng) for _ in states]
     if distinct_docs and len(set(docs)) != len(docs):
         raise TrialVoid
     for doc, state in zip(docs, states):
         if state is None:
             return False
-        sig = _raw_handle_sign(handle, doc, state, rng)
+        sig = handle.sign(doc, _take_custody(state), rng)
         if sig is None or not handle.verify(pk, doc, sig):
             return False
     return True
-
-
-def _raw_handle_sign(handle: SchemeHandle, doc: Any, token: Any, rng: Random) -> Any:
-    """Sign ignoring lifecycle where the layer tracks one (revocation and
-    adversarial replays operate on whatever state is physically left)."""
-    if handle.name in ("ot1", "priv-ot1"):
-        outcome, post = _ot1._raw_sign(doc, token, rng)
-        token.state = post
-        token.lifecycle = "spent"
-        if outcome is None:
-            return None
-        return Ot1Signature(doc, outcome, token.key_id)
-    if handle.name.startswith("otr"):
-        sigs = []
-        for bit_char, tok in zip(doc, token.tokens):
-            outcome, post = _ot1._raw_sign(int(bit_char), tok, rng)
-            tok.state = post
-            tok.lifecycle = "spent"
-            if outcome is None:
-                return None
-            sigs.append(outcome)
-        return _stack.OtrSignature(doc, tuple(sigs))
-    if handle.name.startswith("ot"):
-        alpha = hash_eval(token.s, doc)
-        inner = _raw_handle_sign_otr(alpha, token.otr, rng)
-        return None if inner is None else _stack.OtSignature(inner)
-    if handle.name == "ts":
-        alpha = hash_eval(token.ot_token.s, doc)
-        inner = _raw_handle_sign_otr(alpha, token.ot_token.otr, rng)
-        if inner is None:
-            return None
-        return _stack.TsSignature(token.ot_public, token.chain_sig, _stack.OtSignature(inner))
-    if handle.name == "tm":
-        alpha = hash_eval(token.ot_token.s, doc)
-        inner = _raw_handle_sign_otr(alpha, token.ot_token.otr, rng)
-        if inner is None:
-            return None
-        return _privts.TmSignature(token.key_blob, token.tag, _stack.OtSignature(inner))
-    raise ValueError(f"no raw signing path for {handle.name}")
-
-
-def _raw_handle_sign_otr(alpha: str, otr_token, rng: Random) -> tuple | None:
-    sigs = []
-    for bit_char, tok in zip(alpha, otr_token.tokens):
-        outcome, post = _ot1._raw_sign(int(bit_char), tok, rng)
-        tok.state = post
-        tok.lifecycle = "spent"
-        if outcome is None:
-            return None
-        sigs.append(outcome)
-    return tuple(sigs)
 
 
 def _make_context(
@@ -603,7 +554,7 @@ def game_super_security(
         pairs = _run_program(strategy, ctx)
         if pairs is None or len(pairs) != ell + 1:
             return False
-        return _verify_prime(handle, pk, list(pairs))
+        return _stack.verify_prime_k(handle.verify, pk, list(pairs), handle.sig_bytes)
 
     return _run_trials(
         f"super-security[{handle.name}/{strategy.name}]",
@@ -613,20 +564,6 @@ def game_super_security(
         seed,
         analytic,
     )
-
-
-def _doc_bytes(doc: Any) -> bytes:
-    if isinstance(doc, bytes):
-        return doc
-    return repr(doc).encode()
-
-
-def _verify_prime(handle: SchemeHandle, pk: Any, pairs: list) -> bool:
-    enc = handle.sig_bytes or (lambda s: repr(s).encode())
-    seen = {(_doc_bytes(d), enc(s)) for d, s in pairs}
-    if len(seen) != len(pairs):
-        return False
-    return all(handle.verify(pk, d, s) for d, s in pairs)
 
 
 def game_unpredictability(
@@ -1001,8 +938,7 @@ def two_faced_demo(
         if sig_b is None or not _stack.ts_verify(pk, doc_b, sig_b):
             continue
         counted += 1
-        handle = ts_handle(kappa, hash_variant, n)
-        sig_c = _raw_handle_sign(handle, doc_c, token, run)
+        sig_c = _stack.ts_sign(doc_c, _take_custody(token), run)
         if sig_c is None or not _stack.ts_verify(pk, doc_c, sig_c):
             rejected += 1
     transcript.append(

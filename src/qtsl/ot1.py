@@ -33,6 +33,7 @@ __all__ = [
     "default_dimension",
     "ot1_keygen",
     "ot1_token_gen",
+    "ot1_measure",
     "ot1_sign",
     "ot1_verify",
     "ot1_verify_token",
@@ -156,24 +157,30 @@ def ot1_keygen(
 
 
 def ot1_token_gen(sk: Ot1SecretKey) -> Ot1Token:
+    """A fresh token for any one-bit key carrying ``space`` and ``key_id``
+    (the private key type mints through here too)."""
     from .qsim import prepare_subspace_state
 
     return Ot1Token(prepare_subspace_state(sk.space), sk.key_id)
 
 
-def _raw_sign(
-    alpha: int, token: Ot1Token, rng: Random
-) -> tuple[F2Vector | None, CosetState]:
-    """Measurement step shared by signing and revocation; no lifecycle check."""
+def ot1_measure(alpha: int, token: Ot1Token, rng: Random) -> F2Vector | None:
+    """The only measurement of a token: standard basis for bit 0, Hadamard
+    for bit 1.  Stores the residual state and marks the token spent; None
+    means the outcome was zero (or the register held nothing).  It checks
+    no lifecycle, so revocation can measure a register taken back from its
+    holder."""
     state = token.state
-    if state.is_unsupported():
-        return None, state
-    if alpha:
-        state = hadamard_all(state)
-    outcome, post = measure_standard(state, rng)
-    if outcome.is_zero():
-        return None, post
-    return outcome, post
+    outcome = None
+    if not state.is_unsupported():
+        if alpha:
+            state = hadamard_all(state)
+        outcome, state = measure_standard(state, rng)
+    token.state = state
+    token.lifecycle = "spent"
+    if outcome is None or outcome.is_zero():
+        return None
+    return outcome
 
 
 def ot1_sign(alpha: int, token: Ot1Token, rng: Random) -> Ot1Signature | None:
@@ -185,9 +192,7 @@ def ot1_sign(alpha: int, token: Ot1Token, rng: Random) -> Ot1Signature | None:
         raise ValueError(f"document bit must be 0 or 1, got {alpha!r}")
     if token.lifecycle != "fresh":
         raise TokenSpentError("token was already consumed")
-    outcome, post = _raw_sign(alpha, token, rng)
-    token.state = post
-    token.lifecycle = "spent"
+    outcome = ot1_measure(alpha, token, rng)
     if outcome is None:
         return None
     return Ot1Signature(alpha, outcome, token.key_id)
@@ -229,9 +234,5 @@ def ot1_revoke(pk: MembershipOracle, token: Ot1Token, rng: Random) -> bool:
     Consumes the token; returns whether verification accepted.
     """
     alpha = rng.getrandbits(1)
-    outcome, post = _raw_sign(alpha, token, rng)
-    token.state = post
-    token.lifecycle = "spent"
-    if outcome is None:
-        return False
-    return ot1_verify(pk, alpha, outcome)
+    outcome = ot1_measure(alpha, token, rng)
+    return outcome is not None and ot1_verify(pk, alpha, outcome)

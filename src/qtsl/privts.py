@@ -15,7 +15,7 @@ from random import Random
 
 from .encoding import canonical_json, decode_space, encode_space
 from .f2lin import F2Vector, Subspace, member_or_dual, sample_subspace
-from .ot1 import KEY_ID_BYTES, Ot1Token, TokenSpentError, default_dimension
+from .ot1 import KEY_ID_BYTES, Ot1Token, default_dimension, ot1_measure
 from .primitives import (
     DataError,
     decrypt,
@@ -25,7 +25,7 @@ from .primitives import (
     mac_tag,
     mac_verify,
 )
-from .qsim import prepare_subspace_state, project_subspace
+from .qsim import project_subspace
 from .stack import (
     OneBitOps,
     OtPublicKey,
@@ -38,14 +38,11 @@ from .stack import (
     ot_verify,
     ot_verify_token,
 )
-from . import ot1 as _ot1
 
 __all__ = [
     "PrivOt1Key",
     "PRIVATE_ONE_BIT",
     "priv_ot1_keygen",
-    "priv_ot1_token_gen",
-    "priv_ot1_sign",
     "priv_ot1_verify",
     "priv_ot1_verify_token",
     "priv_ot1_revoke",
@@ -91,21 +88,6 @@ def priv_ot1_keygen(
     return key, key
 
 
-def priv_ot1_token_gen(sk: PrivOt1Key) -> Ot1Token:
-    return Ot1Token(prepare_subspace_state(sk.space), sk.key_id)
-
-
-def priv_ot1_sign(alpha: int, token: Ot1Token, rng: Random) -> F2Vector | None:
-    if alpha not in (0, 1):
-        raise ValueError(f"document bit must be 0 or 1, got {alpha!r}")
-    if token.lifecycle != "fresh":
-        raise TokenSpentError("token was already consumed")
-    outcome, post = _ot1._raw_sign(alpha, token, rng)
-    token.state = post
-    token.lifecycle = "spent"
-    return outcome
-
-
 def priv_ot1_verify(key: PrivOt1Key, alpha: int, sig: F2Vector) -> bool:
     """Direct membership test against the key; zero and vectors of the wrong
     length never verify."""
@@ -124,19 +106,12 @@ def priv_ot1_verify_token(
 
 def priv_ot1_revoke(key: PrivOt1Key, token: Ot1Token, rng: Random) -> bool:
     alpha = rng.getrandbits(1)
-    outcome, post = _ot1._raw_sign(alpha, token, rng)
-    token.state = post
-    token.lifecycle = "spent"
-    if outcome is None:
-        return False
-    return priv_ot1_verify(key, alpha, outcome)
+    outcome = ot1_measure(alpha, token, rng)
+    return outcome is not None and priv_ot1_verify(key, alpha, outcome)
 
 
 PRIVATE_ONE_BIT = OneBitOps(
-    name="private",
     keygen=lambda kappa, rng, n_override: priv_ot1_keygen(kappa, rng, n_override),
-    token_gen=priv_ot1_token_gen,
-    sign=priv_ot1_sign,
     verify=priv_ot1_verify,
     verify_token=priv_ot1_verify_token,
 )

@@ -70,33 +70,22 @@ __all__ = [
     "verify_k",
     "verify_prime_k",
     "random_document",
-    "MdsSigner",
-    "MemoizedMdsSigner",
+    "one_bit_tokens",
 ]
 
 
 @dataclass(frozen=True)
 class OneBitOps:
-    """The five operations a one-bit scheme must provide to the stack."""
+    """What a one-bit scheme provides to the stack beyond the shared
+    ``ot1_token_gen``/``ot1_sign``: its keys and its two checks."""
 
-    name: str
     keygen: Callable[[int, Random, int | None], tuple[Any, Any]]
-    token_gen: Callable[[Any], Any]
-    sign: Callable[[int, Any, Random], F2Vector | None]
     verify: Callable[[Any, int, F2Vector], bool]
     verify_token: Callable[[Any, Any, Random], tuple[bool, Any]]
 
 
-def _public_sign(alpha: int, token: Ot1Token, rng: Random) -> F2Vector | None:
-    s = _ot1.ot1_sign(alpha, token, rng)
-    return None if s is None else s.sig
-
-
 PUBLIC_ONE_BIT = OneBitOps(
-    name="oracle",
     keygen=lambda kappa, rng, n_override: _ot1.ot1_keygen(kappa, rng, n_override),
-    token_gen=lambda sk: _ot1.ot1_token_gen(sk),
-    sign=_public_sign,
     verify=lambda pk, alpha, vec: _ot1.ot1_verify(pk, alpha, vec),
     verify_token=lambda pk, token, rng: _ot1.ot1_verify_token(pk, token, rng),
 )
@@ -120,7 +109,6 @@ class OtrPublicKey:
 @dataclass(frozen=True)
 class OtrSecretKey:
     components: tuple[Any, ...]
-    base: OneBitOps = field(repr=False, compare=False, default=PUBLIC_ONE_BIT)
 
     @property
     def r(self) -> int:
@@ -130,7 +118,6 @@ class OtrSecretKey:
 @dataclass
 class OtrToken:
     tokens: list
-    base: OneBitOps = field(repr=False, default=PUBLIC_ONE_BIT)
 
 
 @dataclass(frozen=True)
@@ -159,27 +146,21 @@ def otr_keygen(
         pk, sk = base.keygen(kappa, rng, n_override)
         pub.append(pk)
         sec.append(sk)
-    return OtrPublicKey(tuple(pub), base), OtrSecretKey(tuple(sec), base)
+    return OtrPublicKey(tuple(pub), base), OtrSecretKey(tuple(sec))
 
 
 def otr_token_gen(sk: OtrSecretKey) -> OtrToken:
-    return OtrToken([sk.base.token_gen(c) for c in sk.components], sk.base)
+    return OtrToken([_ot1.ot1_token_gen(c) for c in sk.components])
 
 
 def otr_sign(alpha: str, token: OtrToken, rng: Random) -> OtrSignature | None:
     """Sign each bit with its component token.  All components are consumed;
     a single component failure fails the whole signature (no retry)."""
     _check_alpha(alpha, len(token.tokens))
-    sigs = []
-    failed = False
-    for bit_char, tok in zip(alpha, token.tokens):
-        vec = token.base.sign(int(bit_char), tok, rng)
-        if vec is None:
-            failed = True
-        sigs.append(vec)
-    if failed:
+    sigs = [_ot1.ot1_sign(int(bit), tok, rng) for bit, tok in zip(alpha, token.tokens)]
+    if None in sigs:
         return None
-    return OtrSignature(alpha, tuple(sigs))
+    return OtrSignature(alpha, tuple(s.sig for s in sigs))
 
 
 def otr_verify(pub: OtrPublicKey, alpha: str, sig: OtrSignature) -> bool:
@@ -414,53 +395,27 @@ def verify_prime_k(
     pairs: list,
     sig_encoding: Callable[[Any], bytes] | None = None,
 ) -> bool:
-    """All pairs verify and the (document, signature) pairs are distinct."""
+    """All pairs verify and the (document, signature) pairs are distinct.
+
+    Documents compare as bytes when they are bytes and by ``repr`` otherwise
+    (the bit-string and one-bit layers sign str and int documents)."""
     enc = sig_encoding or (lambda sig: repr(sig).encode())
-    seen = {(bytes(doc), enc(sig)) for doc, sig in pairs}
+    seen = {(_doc_bytes(doc), enc(sig)) for doc, sig in pairs}
     if len(seen) != len(pairs):
         return False
     return all(verify(pk, doc, sig) for doc, sig in pairs)
 
 
-# ---------------------------------------------------------------------------
-# a many-time signer built from single-use tokens
-# ---------------------------------------------------------------------------
+def _doc_bytes(doc: Any) -> bytes:
+    return doc if isinstance(doc, bytes) else repr(doc).encode()
 
 
-class MdsSigner:
-    """Classical-style signer: every sign call burns one fresh token."""
-
-    def __init__(
-        self,
-        kappa: int,
-        rng: Random,
-        hash_variant: str = "sha256-256",
-        ds_algo: str | None = None,
-        n_override: int | None = None,
-    ) -> None:
-        self.public_key, self._secret = ts_keygen(kappa, rng, hash_variant, ds_algo, n_override)
-        self._rng = rng
-
-    def sign(self, doc: bytes) -> TsSignature:
-        while True:
-            token = ts_token_gen(self._secret, self._rng)
-            sig = ts_sign(doc, token, self._rng)
-            if sig is not None:
-                return sig
-
-    def verify(self, doc: bytes, sig: TsSignature) -> bool:
-        return ts_verify(self.public_key, doc, sig)
-
-
-class MemoizedMdsSigner(MdsSigner):
-    """Same, but remembers past documents and answers repeats from cache."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._memory: dict[bytes, TsSignature] = {}
-
-    def sign(self, doc: bytes) -> TsSignature:
-        doc = bytes(doc)
-        if doc not in self._memory:
-            self._memory[doc] = super().sign(doc)
-        return self._memory[doc]
+def one_bit_tokens(token: Any) -> list[Ot1Token]:
+    """The one-bit tokens a token of any layer is made of, in signing order."""
+    if isinstance(token, Ot1Token):
+        return [token]
+    if isinstance(token, OtrToken):
+        return token.tokens
+    if isinstance(token, OtToken):
+        return token.otr.tokens
+    return one_bit_tokens(token.ot_token)  # chain-signed and private transferable tokens

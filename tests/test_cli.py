@@ -201,6 +201,27 @@ def test_signature_roundtrip(keypair):
     assert ts_verify(pk, DOC, back)
 
 
+def test_signature_vector_length_is_not_allocated(keypair):
+    """A hex vector's declared length comes from the input; decoding one
+    must not build a 2^n integer to range-check it, and the certified
+    signature carrying it is a plain reject."""
+    import tracemalloc
+
+    pk, sk = keypair
+    blob = encode_signature(_probe_sign(sk, DOC))
+    sigs = json.loads(blob)["payload"]["sigs"]
+    huge = _twisted(blob, sigs=["hex:134217728:0"] + sigs[1:])
+    tracemalloc.start()
+    try:
+        sig = decode_signature(huge)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sig.ot_sig.sigs[0].n == 134217728
+    assert ts_verify(pk, DOC, sig) is False
+
+
 def test_check_roundtrip(keypair):
     pk, sk = keypair
     check = None

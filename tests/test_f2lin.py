@@ -10,17 +10,13 @@ from qtsl.f2lin import (
     DimensionError,
     F2Vector,
     Subspace,
-    apply_map,
     canonicalize,
     dual,
     enumerate_subspaces,
     gaussian_binomial,
-    identity_map,
-    image,
     intersection_dim,
     member,
     member_or_dual,
-    random_invertible,
     sample_element,
     sample_nonzero_element,
     sample_related,
@@ -246,49 +242,6 @@ def test_enumerate_subspaces_35():
 def test_sample_subspace_requires_even_ambient():
     with pytest.raises(DimensionError):
         sample_subspace(5, Random(0))
-
-
-# ---------------------------------------------------------------------------
-# invertible maps
-# ---------------------------------------------------------------------------
-
-
-def test_identity_map_fixes_everything():
-    m = identity_map(6)
-    v = bits(6, "101101")
-    assert apply_map(m, v) == v
-
-
-@settings(max_examples=80)
-@given(st.integers(2, 10), st.integers(0, 2**32))
-def test_random_invertible_roundtrip(n, seed):
-    rng = Random(seed)
-    m = random_invertible(n, rng)
-    inv = m.inverse()
-    for _ in range(10):
-        v = F2Vector(n, rng.getrandbits(n))
-        assert apply_map(inv, apply_map(m, v)) == v
-        assert apply_map(m, apply_map(inv, v)) == v
-
-
-def test_image_preserves_dimension():
-    rng = Random(11)
-    for _ in range(25):
-        a = sample_subspace(8, rng)
-        m = random_invertible(8, rng)
-        img = image(m, a)
-        assert img.dim == a.dim
-        # membership transported pointwise
-        for v in a.elements():
-            assert member(img, apply_map(m, v))
-
-
-def test_singular_matrix_has_no_inverse():
-    from qtsl.f2lin import _invert_rows
-
-    assert _invert_rows(2, [0b10, 0b10]) is None
-    assert _invert_rows(3, [0b110, 0b011, 0b101]) is None  # rows sum to zero
-    assert _invert_rows(2, [0b10, 0b01]) == (0b10, 0b01)
 
 
 # ---------------------------------------------------------------------------

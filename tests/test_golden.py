@@ -13,20 +13,36 @@ from random import Random
 
 import pytest
 
-from qtsl.cli import decode_token, encode_check, encode_coin, encode_signature, encode_token
+from qtsl.cli import (
+    decode_check,
+    decode_coin,
+    decode_token,
+    encode_check,
+    encode_coin,
+    encode_signature,
+    encode_token,
+)
 from qtsl.games import (
+    double_revoke_strategy,
+    enumerate_consistent_strategy,
     game_everlasting,
     game_revocability,
+    game_super_security,
     game_testability,
     game_unforgeability,
+    game_unpredictability,
     measure_and_guess_strategy,
     naive_double_sign_strategy,
     ot1_handle,
+    ot_handle,
+    otr_handle,
     priv_ot1_handle,
     relation_statistics,
+    same_pair_twice_strategy,
     spent_token_strategy,
     tm_handle,
     ts_handle,
+    two_faced_demo,
 )
 from qtsl.money import check_write, coin_mint, simulate_bank
 from qtsl.primitives import default_ds_algo
@@ -57,6 +73,55 @@ GAMES = {
         tm_handle(16, "toy-8", 8), k=20, trials=5, seed=15
     ),
     "relation-statistics": lambda: relation_statistics(8, 200, seed=16),
+    # reports whose revocation or second signature runs through the ordinary
+    # signing path on a register taken back from its holder
+    "two-faced": lambda: two_faced_demo(seed=18, n=6, trials=40)[1],
+    "revocability-otr-spent": lambda: game_revocability(
+        otr_handle(16, r=4, n=6), spent_token_strategy(), ell=1, t=1, trials=60, seed=19
+    ),
+    "revocability-otr-private-spent": lambda: game_revocability(
+        otr_handle(16, r=4, n=6, private=True),
+        spent_token_strategy(),
+        ell=1,
+        t=1,
+        trials=60,
+        seed=20,
+    ),
+    "revocability-ot-private-spent": lambda: game_revocability(
+        ot_handle(16, "toy-8", 6, private=True),
+        spent_token_strategy(),
+        ell=1,
+        t=1,
+        trials=30,
+        seed=21,
+    ),
+    "revocability-tm-spent": lambda: game_revocability(
+        tm_handle(16, "toy-8", 4), spent_token_strategy(), ell=1, t=1, trials=10, seed=22
+    ),
+    "revocability-ot1-double": lambda: game_revocability(
+        ot1_handle(16, 6), double_revoke_strategy(), ell=1, t=0, trials=300, seed=23
+    ),
+    "revocability-priv-ot1-double": lambda: game_revocability(
+        priv_ot1_handle(16, 6), double_revoke_strategy(), ell=1, t=0, trials=300, seed=24
+    ),
+    "revocability-ts-double": lambda: game_revocability(
+        ts_handle(16, "toy-8", 4), double_revoke_strategy(), ell=1, t=0, trials=10, seed=25
+    ),
+    "everlasting-priv-ot1-guess": lambda: game_everlasting(
+        priv_ot1_handle(16, 4), measure_and_guess_strategy(), ell=1, trials=300, seed=26
+    ),
+    "everlasting-ot1-enumerate": lambda: game_everlasting(
+        ot1_handle(16, 4), enumerate_consistent_strategy(), ell=1, trials=200, seed=27
+    ),
+    "super-security-ot-same-pair": lambda: game_super_security(
+        ot_handle(16, "toy-8", 6), same_pair_twice_strategy(), ell=1, trials=30, seed=28
+    ),
+    "unpredictability-tm": lambda: game_unpredictability(
+        tm_handle(16, "toy-8", 6), trials=10, seed=29
+    ),
+    "super-security-priv-ot1-naive": lambda: game_super_security(
+        priv_ot1_handle(16, 6), naive_double_sign_strategy(), ell=1, trials=200, seed=30
+    ),
 }
 
 GAME_DIGESTS = {
@@ -67,6 +132,19 @@ GAME_DIGESTS = {
     "testability-ts": "faff7c7b11fc2eea2b400597d4436f6994fe0a2b0620228e1eba41c978affd08",
     "testability-tm": "71afd09ddd3f25366e4bdb1f09e9428f81bc6df08ff009460ac614c10e994ab5",
     "relation-statistics": "ccf6a28433554e4d56021cc8d1af433ad6f01bf7d2b9c78d3571182fdf239d09",
+    "two-faced": "09804539904eaf543f748802c884d939db69b53ef70ea4064f6eb4a29eba099a",
+    "revocability-otr-spent": "53addfeebb3394bc4a1a3f18dae6b1b7bc8b160b8da598e58de4f325ba69e0d6",
+    "revocability-otr-private-spent": "87edb1789b331580159b8db33641986e1bb1bd0aa45712b3445b42604c58b7d3",
+    "revocability-ot-private-spent": "0921aabe00621967725f93b4e7f51b3658ab291d8400461c39b8f697b7e669de",
+    "revocability-tm-spent": "a8bdf46d36f44ddeeef6d6d9b79e26eb958991a1dc74b68aed1498be456e26ee",
+    "revocability-ot1-double": "bcb0a1df4fb2a831a28a9f0b48e1678c0b265f861d7a4a4d0118e53ee3651a95",
+    "revocability-priv-ot1-double": "d1a678ff30a49573cf1f7b4c24ff64b72950d52dd80c22152dcc8ba6e7de2cdf",
+    "revocability-ts-double": "9f0f83b0571dafe57a08e04aa46c9f4c02d509eeaabb3098cfc0147e9e121af5",
+    "everlasting-priv-ot1-guess": "0203f3244577fb0ee8fafc35d837a264fbd2cb31369fb21cfbfd553fbfd7ac41",
+    "everlasting-ot1-enumerate": "d6b3655719679687cbd60c3d32c21bd0ba095e5606d205596a12b5ca137126e1",
+    "super-security-ot-same-pair": "a0b34e34bae2cc68307e87c95d698a0a10ffd1b1140f6c167b139f069b49f8ef",
+    "unpredictability-tm": "cf857bb3a92db20bb37cd9c20ab6fc805d9ba5a8b182336b39f8723a9a6f4e9a",
+    "super-security-priv-ot1-naive": "8b9b225b8951bf5c4543c76263bfe6c3a9e213a1a2c4a720822bb5f6a88c3609",
 }
 
 
@@ -143,6 +221,15 @@ def test_default_container_digest(default_containers, kind):
     assert sha(default_containers[kind]) == CONTAINER_DIGESTS[kind]
 
 
-def test_default_token_decode_reencodes_identically(default_containers):
-    raw = default_containers["token"]
-    assert encode_token(decode_token(raw)) == raw
+CODECS = {
+    "token": (encode_token, decode_token),
+    "coin": (encode_coin, decode_coin),
+    "check": (encode_check, decode_check),
+}
+
+
+@pytest.mark.parametrize("kind", list(CODECS))
+def test_default_container_decode_reencodes_identically(default_containers, kind):
+    encode, decode = CODECS[kind]
+    raw = default_containers[kind]
+    assert encode(decode(raw)) == raw

@@ -5,15 +5,13 @@ from random import Random
 import pytest
 
 from qtsl.f2lin import F2Vector, dual, member
-from qtsl.ot1 import TokenSpentError
+from qtsl.ot1 import TokenSpentError, ot1_sign, ot1_token_gen
 from qtsl.primitives import DataError
 from qtsl.privts import (
     decode_priv_ot_key,
     encode_priv_ot_key,
     priv_ot1_keygen,
     priv_ot1_revoke,
-    priv_ot1_sign,
-    priv_ot1_token_gen,
     priv_ot1_verify,
     priv_ot1_verify_token,
     priv_ot_keygen,
@@ -45,11 +43,12 @@ def test_priv_sign_verify_both_bits():
     rng = Random(2)
     d = dual(key.space)
     for _ in range(40):
-        token = priv_ot1_token_gen(key)
+        token = ot1_token_gen(key)
         alpha = rng.getrandbits(1)
-        vec = priv_ot1_sign(alpha, token, rng)
-        if vec is None:
+        sig = ot1_sign(alpha, token, rng)
+        if sig is None:
             continue
+        vec = sig.sig
         assert member(d if alpha else key.space, vec)
         assert priv_ot1_verify(key, alpha, vec)
         assert token.lifecycle == "spent"
@@ -57,13 +56,13 @@ def test_priv_sign_verify_both_bits():
 
 def test_priv_sign_twice_raises():
     key, _ = priv_ot1_keygen(16, Random(3), n_override=8)
-    token = priv_ot1_token_gen(key)
+    token = ot1_token_gen(key)
     rng = Random(4)
-    priv_ot1_sign(0, token, rng)
+    ot1_sign(0, token, rng)
     with pytest.raises(TokenSpentError):
-        priv_ot1_sign(0, token, rng)
+        ot1_sign(0, token, rng)
     with pytest.raises(ValueError):
-        priv_ot1_sign(5, priv_ot1_token_gen(key), rng)
+        ot1_sign(5, ot1_token_gen(key), rng)
 
 
 def test_priv_verify_rejects_zero_and_outside():
@@ -78,12 +77,12 @@ def test_priv_verify_rejects_zero_and_outside():
 def test_priv_verify_token_and_revoke():
     key, _ = priv_ot1_keygen(16, Random(6), n_override=8)
     rng = Random(7)
-    token = priv_ot1_token_gen(key)
+    token = ot1_token_gen(key)
     for _ in range(10):
         ok, token = priv_ot1_verify_token(key, token, rng)
         assert ok
     accepted = sum(
-        priv_ot1_revoke(key, priv_ot1_token_gen(key), rng) for _ in range(200)
+        priv_ot1_revoke(key, ot1_token_gen(key), rng) for _ in range(200)
     )
     assert accepted > 160  # failure only on the 1/16 zero outcome
 
@@ -94,8 +93,8 @@ def test_priv_wrong_key_rejects_mostly():
     rng = Random(10)
     hits = 0
     for _ in range(200):
-        vec = priv_ot1_sign(0, priv_ot1_token_gen(key_a), rng)
-        if vec is not None and priv_ot1_verify(key_b, 0, vec):
+        sig = ot1_sign(0, ot1_token_gen(key_a), rng)
+        if sig is not None and priv_ot1_verify(key_b, 0, sig.sig):
             hits += 1
     # cross acceptance is the overlap fraction, far below half
     assert hits < 60

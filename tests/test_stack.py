@@ -8,8 +8,6 @@ from qtsl.f2lin import F2Vector
 from qtsl.ot1 import TokenSpentError
 from qtsl.primitives import hash_eval
 from qtsl.stack import (
-    MdsSigner,
-    MemoizedMdsSigner,
     OtrSignature,
     OtSignature,
     TsSignature,
@@ -236,6 +234,14 @@ def test_verify_prime_k_requires_distinct_pairs():
     # same doc, different sigs: acceptable for the primed predicate
     assert verify_prime_k(ok, None, [(b"a", 1), (b"a", 2)], sig_encoding=enc)
     assert not verify_prime_k(ok, None, [(b"a", 1), (b"a", 1)], sig_encoding=enc)
+    # bit-string (otr) and one-bit documents compare by repr, not bytes()
+    assert verify_prime_k(ok, None, [("0101", 1), ("0101", 2)], sig_encoding=enc)
+    assert not verify_prime_k(ok, None, [("0101", 1), ("0101", 1)], sig_encoding=enc)
+    assert verify_prime_k(ok, None, [("0101", 1), ("0110", 1)], sig_encoding=enc)
+    assert verify_prime_k(ok, None, [(1, 1), (1, 2)], sig_encoding=enc)
+    assert not verify_prime_k(ok, None, [(1, 1), (1, 1)], sig_encoding=enc)
+    # an int document is not that many zero bytes
+    assert verify_prime_k(ok, None, [(1, 1), (b"\x00", 1)], sig_encoding=enc)
 
 
 def test_random_document_width():
@@ -244,28 +250,6 @@ def test_random_document_width():
         doc = random_document(kappa, rng)
         assert len(doc) == (kappa + 7) // 8
         assert int.from_bytes(doc, "big") < (1 << kappa)
-
-
-# ---------------------------------------------------------------------------
-# many-time signer
-# ---------------------------------------------------------------------------
-
-
-def test_mds_signer_many_documents():
-    signer = MdsSigner(16, Random(16), hash_variant="toy-8", n_override=8)
-    for i in range(5):
-        doc = b"doc-%d" % i
-        sig = signer.sign(doc)
-        assert signer.verify(doc, sig)
-    assert not signer.verify(b"doc-0", signer.sign(b"doc-9"))
-
-
-def test_memoized_signer_replays():
-    signer = MemoizedMdsSigner(16, Random(17), hash_variant="toy-8", n_override=8)
-    a = signer.sign(b"same doc")
-    b = signer.sign(b"same doc")
-    assert a is b
-    assert signer.verify(b"same doc", a)
 
 
 def test_ts_verify_rejects_wrong_length_vectors():
