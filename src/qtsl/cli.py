@@ -14,14 +14,17 @@ Untrusted input is expected: every decoder validates shape and raises
 DataError, and the driver maps failures to exit codes instead of tracebacks.
 
 Exit codes: 0 success / accept, 1 reject or failed signing, 2 malformed
-input or usage, 3 token lifecycle violation (already spent).
+input or usage, 3 consumed material (a spent token, an exhausted hash-chain
+key).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 from random import Random
 
@@ -46,7 +49,15 @@ from .money import (
 )
 from .money import Check
 from .ot1 import MembershipOracle, Ot1Token, TokenSpentError, _hidden_space
-from .primitives import HASH_VARIANTS, DataError, DsPublicKey, DsSecretKey
+from .primitives import (
+    HASH_VARIANTS,
+    DataError,
+    DsPublicKey,
+    DsSecretKey,
+    KeyExhaustedError,
+    hash_chain_secret_key,
+    hash_chain_tree,
+)
 from .stack import (
     OtPublicKey,
     OtrPublicKey,
@@ -244,6 +255,11 @@ def encode_secret_key(sk: TsSecretKey) -> bytes:
         "hash_variant": sk.hash_variant,
         "n": sk.n_override,
     }
+    if sk.ds_sk.algo == "hash-chain":
+        # the leaf level saves every later mint from rehashing all leaves
+        leaves, root = hash_chain_tree(sk.ds_sk)
+        payload["leaves"] = leaves.hex()
+        payload["root"] = root.hex()
     return wrap_container("ts-secret-key", payload)
 
 
@@ -254,12 +270,17 @@ def decode_secret_key(data: bytes) -> TsSecretKey:
         raise DataError(f"unknown signature algorithm {algo!r}")
     if _need(payload, "hash_variant", str) not in HASH_VARIANTS:
         raise DataError("unknown hash variant")
-    ds = DsSecretKey(
-        algo,
-        _hex(payload, "material"),
-        _need(payload, "next_leaf", int),
-        _need(payload, "capacity_log2", int),
-    )
+    material = _hex(payload, "material")
+    next_leaf = _need(payload, "next_leaf", int)
+    capacity_log2 = _need(payload, "capacity_log2", int)
+    if algo == "hash-chain":
+        # keys written before the leaf level was stored carry neither field
+        stored = [_hex(payload, k) if k in payload else None for k in ("leaves", "root")]
+        ds = hash_chain_secret_key(material, next_leaf, capacity_log2, *stored)
+    elif (next_leaf, capacity_log2) != (0, 0) or len(material) != 32:
+        raise DataError("an ed25519 key is 32 bytes and carries no leaf state")
+    else:
+        ds = DsSecretKey(algo, material)
     return TsSecretKey(
         ds, _need(payload, "kappa", int), payload["hash_variant"], _opt_int(payload, "n")
     )
@@ -393,6 +414,56 @@ def _write(path: str, data: bytes) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _replace_durably(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary file, fsync it, then rename it over
+    ``path``: a crash leaves either the old file or the new one, never a
+    truncated key."""
+    target = Path(path)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+        dir_fd = os.open(target.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError as exc:
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _mint_with_key(path: str, mint):
+    """Run ``mint(secret_key)`` and persist the key's advanced signing state.
+
+    A hash-chain key's next leaf is one-time state: the read -> sign ->
+    write-back runs under an exclusive lock on a ``<key>.lock`` sidecar (the
+    key file itself is replaced, so its inode cannot carry the lock), and
+    the key is durably rewritten before the caller releases what was minted.
+    Ed25519 keys hold no state and are not rewritten.
+    """
+    import fcntl  # POSIX only; every other command runs without it
+
+    try:
+        lock_fd = os.open(f"{path}.lock", os.O_RDWR | os.O_CREAT, 0o600)
+    except OSError as exc:
+        raise DataError(f"cannot lock {path}: {exc.strerror or exc}") from exc
+    try:
+        fcntl.flock(lock_fd, fcntl.LOCK_EX)
+        sk = decode_secret_key(_read(path))
+        minted = mint(sk)
+        if sk.ds_sk.algo == "hash-chain":
+            _replace_durably(path, encode_secret_key(sk))
+        return minted
+    finally:
+        os.close(lock_fd)
+
+
 def _doc_bytes(args) -> bytes:
     if getattr(args, "doc", None) is not None:
         return _read(args.doc)
@@ -412,11 +483,7 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_mint(args) -> int:
-    sk = decode_secret_key(_read(args.secret_key))
-    token = ts_token_gen(sk, Random(args.seed))
-    # hash-chain signing is stateful; persist the advanced leaf counter so a
-    # later mint from the same file cannot reuse a one-time leaf
-    _write(args.secret_key, encode_secret_key(sk))
+    token = _mint_with_key(args.secret_key, lambda sk: ts_token_gen(sk, Random(args.seed)))
     _write(args.out, encode_token(token))
     print(f"minted token -> {args.out}")
     return 0
@@ -468,9 +535,7 @@ def _cmd_revoke(args) -> int:
 
 
 def _cmd_mint_coin(args) -> int:
-    sk = decode_secret_key(_read(args.secret_key))
-    coin = coin_mint(sk, Random(args.seed))
-    _write(args.secret_key, encode_secret_key(sk))
+    coin = _mint_with_key(args.secret_key, lambda sk: coin_mint(sk, Random(args.seed)))
     _write(args.out, encode_coin(coin))
     print(f"minted coin {coin.serial[:16]}... -> {args.out}")
     return 0
@@ -541,8 +606,6 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from tempfile import TemporaryDirectory
-
     failures = 0
 
     def step(label: str, ok: bool) -> None:
@@ -550,7 +613,7 @@ def _cmd_selftest(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {label}")
         failures += 0 if ok else 1
 
-    with TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         rng = Random(args.seed)
         pk, sk = ts_keygen(16, rng, "toy-8", None, 8)
@@ -684,7 +747,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except TokenSpentError as exc:
+    except (TokenSpentError, KeyExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SignFailedError as exc:

@@ -343,16 +343,6 @@ def tm_handle(
     )
 
 
-def _take_custody(token: Any) -> Any:
-    """Take a returned register out of its holder's bookkeeping.
-
-    Lifecycle flags bind honest holders only; a revoker (or an equivocator
-    replaying a residual) signs with whatever state is physically left."""
-    for tok in _stack.one_bit_tokens(token):
-        tok.lifecycle = "fresh"
-    return token
-
-
 def _revoke_states(
     handle: SchemeHandle,
     pk: Any,
@@ -372,7 +362,7 @@ def _revoke_states(
     for doc, state in zip(docs, states):
         if state is None:
             return False
-        sig = handle.sign(doc, _take_custody(state), rng)
+        sig = handle.sign(doc, _stack.take_custody(state), rng)
         if sig is None or not handle.verify(pk, doc, sig):
             return False
     return True
@@ -938,7 +928,7 @@ def two_faced_demo(
         if sig_b is None or not _stack.ts_verify(pk, doc_b, sig_b):
             continue
         counted += 1
-        sig_c = _stack.ts_sign(doc_c, _take_custody(token), run)
+        sig_c = _stack.ts_sign(doc_c, _stack.take_custody(token), run)
         if sig_c is None or not _stack.ts_verify(pk, doc_c, sig_c):
             rejected += 1
     transcript.append(

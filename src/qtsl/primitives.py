@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import struct
 from dataclasses import dataclass, field
 from random import Random
 
@@ -32,6 +33,10 @@ __all__ = [
     "encrypt",
     "decrypt",
     "DataError",
+    "KeyExhaustedError",
+    "MAX_CAPACITY_LOG2",
+    "hash_chain_secret_key",
+    "hash_chain_tree",
 ]
 
 
@@ -160,22 +165,44 @@ class DsSecretKey:
 # -- self-contained hash-based scheme (one-time leaves under a Merkle root) --
 
 _LEAF_BITS = 256
+MAX_CAPACITY_LOG2 = 20
+
+# A leaf secret is _sha(b"leaf", seed, leaf, pos, val): the hash of the shared
+# (b"leaf", seed, leaf) prefix is computed once per leaf and copied, and each
+# (pos, val) appends its own length-prefixed 11-byte suffix.
+_SECRET_SUFFIXES = [
+    struct.pack(">IHIB", 2, pos, 1, val) for pos in range(_LEAF_BITS) for val in (0, 1)
+]
 
 
-def _leaf_secret(seed: bytes, leaf: int, pos: int, val: int) -> bytes:
-    return _sha(b"leaf", seed, leaf.to_bytes(4, "big"), pos.to_bytes(2, "big"), val.to_bytes(1, "big"))
+class KeyExhaustedError(RuntimeError):
+    """Every one-time leaf of a stateful signing key has been used."""
 
 
-def _leaf_public(seed: bytes, leaf: int) -> bytes:
-    h = hashlib.sha256()
-    for pos in range(_LEAF_BITS):
-        for val in (0, 1):
-            h.update(hashlib.sha256(_leaf_secret(seed, leaf, pos, val)).digest())
-    return h.digest()
+def _leaf_secrets(seed: bytes, leaf: int) -> list[bytes]:
+    """The leaf's 2 x 256 one-time secrets, indexed by 2 * pos + val."""
+    base = hashlib.sha256()
+    for p in (b"leaf", seed, leaf.to_bytes(4, "big")):
+        base.update(len(p).to_bytes(4, "big"))
+        base.update(p)
+    out = []
+    for suffix in _SECRET_SUFFIXES:
+        h = base.copy()
+        h.update(suffix)
+        out.append(h.digest())
+    return out
 
 
-def _build_tree(seed: bytes, cap_log2: int) -> list[list[bytes]]:
-    level = [_leaf_public(seed, i) for i in range(1 << cap_log2)]
+def _leaf_public(hashes: list[bytes]) -> bytes:
+    return hashlib.sha256(b"".join(hashes)).digest()
+
+
+def _secret_hashes(secrets: list[bytes]) -> list[bytes]:
+    return [hashlib.sha256(x).digest() for x in secrets]
+
+
+def _tree_from_leaves(leaves: list[bytes]) -> list[list[bytes]]:
+    level = leaves
     levels = [level]
     while len(level) > 1:
         level = [_sha(b"node", level[i], level[i + 1]) for i in range(0, len(level), 2)]
@@ -183,7 +210,61 @@ def _build_tree(seed: bytes, cap_log2: int) -> list[list[bytes]]:
     return levels
 
 
+def _build_tree(seed: bytes, cap_log2: int) -> list[list[bytes]]:
+    leaves = [_leaf_public(_secret_hashes(_leaf_secrets(seed, i))) for i in range(1 << cap_log2)]
+    return _tree_from_leaves(leaves)
+
+
+def hash_chain_secret_key(
+    seed: bytes,
+    next_leaf: int,
+    capacity_log2: int,
+    leaves: bytes | None = None,
+    root: bytes | None = None,
+) -> DsSecretKey:
+    """Rebuild a stored hash-chain secret key; malformed state raises DataError.
+
+    ``leaves`` is the stored leaf level (32 bytes per leaf) and ``root`` the
+    Merkle root it must hash to; with both absent the tree is rebuilt from the
+    seed on first use.  A leaf level that does not hash to the root is
+    rejected here, before any leaf is spent.
+    """
+    if not 0 <= capacity_log2 <= MAX_CAPACITY_LOG2:
+        raise DataError(f"capacity_log2 {capacity_log2} outside 0..{MAX_CAPACITY_LOG2}")
+    if not 0 <= next_leaf <= 1 << capacity_log2:
+        raise DataError(f"next_leaf {next_leaf} outside 0..{1 << capacity_log2}")
+    if len(seed) != 32:
+        raise DataError("hash-chain seed must be 32 bytes")
+    sk = DsSecretKey("hash-chain", seed, next_leaf, capacity_log2)
+    if leaves is None and root is None:
+        return sk
+    if leaves is None or root is None:
+        raise DataError("hash-chain leaf level and root must be stored together")
+    if len(leaves) != 32 << capacity_log2:
+        raise DataError(f"leaf level must be {32 << capacity_log2} bytes, got {len(leaves)}")
+    tree = _tree_from_leaves([leaves[i : i + 32] for i in range(0, len(leaves), 32)])
+    if tree[-1][0] != root:
+        raise DataError("stored leaf level does not hash to the stored root")
+    sk._tree = tree
+    return sk
+
+
+def _tree(sk: DsSecretKey) -> list[list[bytes]]:
+    # a key decoded from a file without a stored leaf level rebuilds it once
+    if sk._tree is None:
+        sk._tree = _build_tree(sk.material, sk.capacity_log2)
+    return sk._tree
+
+
+def hash_chain_tree(sk: DsSecretKey) -> tuple[bytes, bytes]:
+    """(leaf level, root) of a hash-chain key, for storing it with the key."""
+    tree = _tree(sk)
+    return b"".join(tree[0]), tree[-1][0]
+
+
 def _hash_chain_keygen(rng: Random, capacity_log2: int) -> tuple[DsPublicKey, DsSecretKey]:
+    if not 0 <= capacity_log2 <= MAX_CAPACITY_LOG2:
+        raise ValueError(f"capacity_log2 must be in 0..{MAX_CAPACITY_LOG2}")
     seed = rng.randbytes(32)
     tree = _build_tree(seed, capacity_log2)
     root = tree[-1][0]
@@ -194,19 +275,27 @@ def _hash_chain_keygen(rng: Random, capacity_log2: int) -> tuple[DsPublicKey, Ds
 
 def _hash_chain_sign(sk: DsSecretKey, message: bytes) -> bytes:
     leaf = sk.next_leaf
-    if leaf >= (1 << sk.capacity_log2):
-        raise RuntimeError("hash-chain signing capacity exhausted")
+    capacity = 1 << sk.capacity_log2
+    if leaf >= capacity:
+        raise KeyExhaustedError(
+            f"hash-chain key exhausted ({leaf}/{capacity} leaves used); run keygen"
+        )
+    tree = _tree(sk)
+    secrets = _leaf_secrets(sk.material, leaf)
+    hashes = _secret_hashes(secrets)
+    # a stored tree that does not belong to this seed would release a
+    # signature that never verifies and burn the leaf; refuse before that
+    if _leaf_public(hashes) != tree[0][leaf]:
+        raise DataError(f"stored hash of leaf {leaf} does not match the key seed")
     sk.next_leaf = leaf + 1
-    if sk._tree is None:
-        sk._tree = _build_tree(sk.material, sk.capacity_log2)
     digest = _sha(b"msg", message)
     bits = [(digest[i // 8] >> (7 - i % 8)) & 1 for i in range(_LEAF_BITS)]
     parts = [leaf.to_bytes(4, "big")]
     for pos, b in enumerate(bits):
-        parts.append(_leaf_secret(sk.material, leaf, pos, b))
-        parts.append(hashlib.sha256(_leaf_secret(sk.material, leaf, pos, 1 - b)).digest())
+        parts.append(secrets[2 * pos + b])
+        parts.append(hashes[2 * pos + 1 - b])
     idx = leaf
-    for level in sk._tree[:-1]:
+    for level in tree[:-1]:
         parts.append(level[idx ^ 1])
         idx //= 2
     return b"".join(parts)

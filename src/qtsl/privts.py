@@ -37,6 +37,8 @@ from .stack import (
     ot_token_gen,
     ot_verify,
     ot_verify_token,
+    random_document,
+    take_custody,
 )
 
 __all__ = [
@@ -288,10 +290,8 @@ def tm_verify_token(
 
 
 def tm_revoke(key: TmKey, token: TmToken, rng: Random) -> bool:
-    from .stack import random_document
-
     doc = random_document(key.kappa, rng)
-    sig = tm_sign(doc, token, rng)
+    sig = tm_sign(doc, take_custody(token), rng)
     if sig is None:
         return False
     return tm_verify(key, doc, sig)

@@ -71,6 +71,7 @@ __all__ = [
     "verify_prime_k",
     "random_document",
     "one_bit_tokens",
+    "take_custody",
 ]
 
 
@@ -373,9 +374,11 @@ def random_document(kappa: int, rng: Random) -> bytes:
 
 
 def ts_revoke(pk: TsPublicKey, token: TsToken, rng: Random) -> bool:
-    """Consume the token by signing a random document and verifying it."""
+    """Consume the token by signing a random document and verifying it.
+
+    The bank measures whatever register comes back, spent or not."""
     doc = random_document(pk.kappa, rng)
-    sig = ts_sign(doc, token, rng)
+    sig = ts_sign(doc, take_custody(token), rng)
     if sig is None:
         return False
     return ts_verify(pk, doc, sig)
@@ -419,3 +422,13 @@ def one_bit_tokens(token: Any) -> list[Ot1Token]:
     if isinstance(token, OtToken):
         return token.otr.tokens
     return one_bit_tokens(token.ot_token)  # chain-signed and private transferable tokens
+
+
+def take_custody(token: Any) -> Any:
+    """Take a returned register out of its holder's bookkeeping.
+
+    Lifecycle flags bind honest holders only; a revoker (or an equivocator
+    replaying a residual) signs with whatever state is physically left."""
+    for tok in one_bit_tokens(token):
+        tok.lifecycle = "fresh"
+    return token

@@ -7,9 +7,12 @@ works on every rerun.
 """
 
 import json
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtsl.cli import (
     CONTAINER_KINDS,
@@ -30,8 +33,15 @@ from qtsl.cli import (
     wrap_container,
 )
 from qtsl.money import SignFailedError, check_verify, check_write, coin_mint
-from qtsl.primitives import DataError, ds_verify
-from qtsl.stack import encode_ot_public, ts_keygen, ts_sign, ts_token_gen, ts_verify
+from qtsl.primitives import DataError, ds_keygen, ds_sign, ds_verify
+from qtsl.stack import (
+    TsSecretKey,
+    encode_ot_public,
+    ts_keygen,
+    ts_sign,
+    ts_token_gen,
+    ts_verify,
+)
 
 DOC = b"pay bob 5"
 
@@ -160,6 +170,48 @@ def test_secret_key_roundtrip_preserves_chain_state():
     assert back.ds_sk.next_leaf == 2
     assert ds_verify(pk.ds_pk, encode_ot_public(token.ot_public), token.chain_sig)
 
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+_CHAIN_PK, _CHAIN_SK = ds_keygen(16, Random(4), "hash-chain", capacity_log2=3)
+_SECRET_KEYS = [
+    encode_secret_key(TsSecretKey(ds, 16, "toy-8", 8))
+    for ds in (_CHAIN_SK, ds_keygen(16, Random(4), "ed25519")[1])
+]
+_SECRET_FIELDS = sorted(json.loads(_SECRET_KEYS[0])["payload"])
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(_SECRET_KEYS),
+    st.sampled_from(_SECRET_FIELDS),
+    _JSON | st.just(...),
+)
+def test_secret_key_decoder_raises_only_data_error(blob, field, value):
+    """Any payload field replaced by arbitrary JSON, or dropped (``...``),
+    either decodes or raises DataError, with no hang on an absurd capacity;
+    and a hash-chain key that decodes never releases a bad signature."""
+    obj = json.loads(blob)
+    if value is ...:
+        obj["payload"].pop(field, None)
+    else:
+        obj["payload"][field] = value
+    try:
+        sk = decode_secret_key(json.dumps(obj).encode()).ds_sk
+    except DataError:
+        return
+    if sk.algo == "hash-chain" and sk.next_leaf < 8:
+        try:
+            sig = ds_sign(sk, b"m")
+        except DataError:
+            return
+        assert ds_verify(_CHAIN_PK, b"m", sig)
 
 def test_token_roundtrip_and_sign(keypair):
     pk, sk = keypair
@@ -400,6 +452,100 @@ def test_cli_mint_advances_stateful_key(tmp_path):
     # chain signatures carry the leaf index: no one-time leaf is reused
     assert decode_token(t1.read_bytes()).chain_sig[:4] == (0).to_bytes(4, "big")
     assert decode_token(t2.read_bytes()).chain_sig[:4] == (1).to_bytes(4, "big")
+
+
+@pytest.fixture(scope="module")
+def chain_key(tmp_path_factory):
+    """A fresh hash-chain secret-key container (toy sizes, 1024 leaves)."""
+    _, sec = _keys(tmp_path_factory.mktemp("chain"), "--ds", "hash-chain")
+    return sec.read_bytes()
+
+
+def test_cli_concurrent_mints_use_distinct_leaves(tmp_path, chain_key):
+    """Two mint processes on one key file: the lock serialises them, so
+    each signs its own leaf and the key records both."""
+    import os
+    import subprocess
+    import sys
+
+    import qtsl
+
+    sec = tmp_path / "bank.sk"
+    sec.write_bytes(chain_key)
+    src = str(Path(qtsl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outs = [tmp_path / f"t{i}" for i in range(2)]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "qtsl.cli", "mint", "--secret-key", str(sec),
+             "--out", str(out), "--seed", str(i)],
+            env=env, stdout=subprocess.DEVNULL,
+        )
+        for i, out in enumerate(outs)
+    ]
+    try:
+        assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    finally:
+        for p in procs:
+            p.kill()
+    leaves = {decode_token(out.read_bytes()).chain_sig[:4] for out in outs}
+    assert leaves == {(0).to_bytes(4, "big"), (1).to_bytes(4, "big")}
+    assert decode_secret_key(sec.read_bytes()).ds_sk.next_leaf == 2
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"next_leaf": -1},
+        {"next_leaf": 1025},
+        {"capacity_log2": -1},
+        {"capacity_log2": 40},
+        {"capacity_log2": 11},  # the stored leaf level is for 2**10 leaves
+    ],
+)
+def test_cli_mint_rejects_out_of_range_leaf_state(tmp_path, capsys, chain_key, state):
+    sec = tmp_path / "bank.sk"
+    sec.write_bytes(_twisted(chain_key, **state))
+    before = sec.read_bytes()
+    capsys.readouterr()
+    assert _qtsl("mint", "--secret-key", sec, "--out", tmp_path / "t", "--seed", 0) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sec.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["mint", "mint-coin"])
+def test_cli_exhausted_hash_chain_key_exits_3(tmp_path, capsys, chain_key, command):
+    sec = tmp_path / "bank.sk"
+    sec.write_bytes(_twisted(chain_key, next_leaf=1024))
+    before = sec.read_bytes()
+    capsys.readouterr()
+    assert _qtsl(command, "--secret-key", sec, "--out", tmp_path / "t", "--seed", 0) == 3
+    err = capsys.readouterr().err
+    assert "hash-chain key exhausted (1024/1024 leaves used); run keygen" in err
+    assert sec.read_bytes() == before
+    assert not (tmp_path / "t").exists()
+
+
+def test_cli_mint_leaves_ed25519_key_untouched(tmp_path):
+    _, sec = _keys(tmp_path, "--ds", "ed25519")
+    before = sec.stat()
+    for cmd in ("mint", "mint-coin"):
+        assert _qtsl(cmd, "--secret-key", sec, "--out", tmp_path / cmd, "--seed", 1) == 0
+    after = sec.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_cli_revoke_spent_token_measures_what_is_left(tmp_path, capsys):
+    """A token file that already signed comes back as a measured register:
+    revocation runs and fails instead of refusing the consumed token."""
+    pub, sec = _keys(tmp_path)
+    token = tmp_path / "tok"
+    assert _qtsl("mint", "--secret-key", sec, "--out", token, "--seed", 0) == 0
+    assert _qtsl("sign", "--token", token, "--text", "pay bob 5", "--out", tmp_path / "sig",
+                 "--seed", 0) in (0, 1)
+    capsys.readouterr()
+    assert _qtsl("revoke", "--public-key", pub, "--token", token, "--seed", 0) == 1
+    assert "REVOCATION FAILED" in capsys.readouterr().out
 
 
 BANK_SCENARIO = """\

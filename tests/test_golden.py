@@ -22,6 +22,8 @@ from qtsl.cli import (
     encode_signature,
     encode_token,
 )
+from qtsl.cli import main as cli_main
+from qtsl.encoding import canonical_json
 from qtsl.games import (
     double_revoke_strategy,
     enumerate_consistent_strategy,
@@ -233,3 +235,96 @@ def test_default_container_decode_reencodes_identically(default_containers, kind
     encode, decode = CODECS[kind]
     raw = default_containers[kind]
     assert encode(decode(raw)) == raw
+
+
+# -- hash-chain key at the CLI default ---------------------------------------
+#
+# The public key and the chain signatures inside minted tokens must not move
+# when the secret-key container changes how it stores the signing state.
+
+CHAIN_DIGESTS = {
+    "public-key": "a9e1908883cab6aed3e9b4c894c54267e37784549f3224c7a372d1d577852f23",
+    "token-0": "7e5e2c9fadd5742a9d451091e000d3e7345d8da9724374e3e2dd0d924c3489b9",
+    "token-1": "266cba0c82a11282be670a89adebf3295196e4825e8736a83f1997978505b9d9",
+    "token-2": "bcfc668e604797955327dcf9ae5184061e96c1abe7d4a1280d47e915a06b3a23",
+}
+
+
+@pytest.fixture(scope="module")
+def chain_flow(tmp_path_factory):
+    """keygen --ds hash-chain, then three mints from the same key file."""
+    d = tmp_path_factory.mktemp("chain")
+    pk, sk = d / "pk.qtsl", d / "sk.qtsl"
+    argv = ["keygen", "--ds", "hash-chain", "--public-out", str(pk), "--secret-out", str(sk)]
+    assert cli_main([*argv, "--seed", "5"]) == 0
+    out = {"public-key": pk.read_bytes(), "secret-key": sk.read_bytes()}
+    for i in range(3):
+        tok = d / f"token-{i}.qtsl"
+        assert cli_main(["mint", "--secret-key", str(sk), "--out", str(tok), "--seed", str(40 + i)]) == 0
+        out[f"token-{i}"] = tok.read_bytes()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_DIGESTS))
+def test_hash_chain_container_digest(chain_flow, name):
+    assert sha(chain_flow[name]) == CHAIN_DIGESTS[name]
+
+
+# the same key's secret container in the older format, without leaves and root
+LEGACY_SECRET_KEY = "8e871c412e74474ed97ba7cd92461a8992c643345ca2fa833f20a50a9dfc2b76"
+
+
+def _with_payload(blob: bytes, edit) -> bytes:
+    obj = json.loads(blob)
+    edit(obj["payload"])
+    return canonical_json(obj)
+
+
+def _next_leaf(path) -> int:
+    return json.loads(path.read_bytes())["payload"]["next_leaf"]
+
+
+def test_key_without_leaf_level_mints_and_gains_it(chain_flow, tmp_path):
+    def strip(payload):
+        del payload["leaves"], payload["root"]
+
+    old = _with_payload(chain_flow["secret-key"], strip)
+    assert sha(old) == LEGACY_SECRET_KEY
+    sk, tok = tmp_path / "sk.qtsl", tmp_path / "token.qtsl"
+    sk.write_bytes(old)
+    assert cli_main(["mint", "--secret-key", str(sk), "--out", str(tok), "--seed", "40"]) == 0
+    assert sha(tok.read_bytes()) == CHAIN_DIGESTS["token-0"]
+    payload = json.loads(sk.read_bytes())["payload"]
+    assert payload["next_leaf"] == 1
+    assert len(bytes.fromhex(payload["leaves"])) == 32 * 1024
+    # the written-back key is the freshly generated one, one leaf on
+    fresh = _with_payload(chain_flow["secret-key"], lambda p: p.update(next_leaf=1))
+    assert sk.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("leaf", [0, 1, 700])
+def test_flipped_leaf_level_byte_refuses_to_mint(chain_flow, tmp_path, leaf):
+    """Leaf 0 is the one the next mint signs, leaf 1 its sibling; any flip is
+    caught before a signature (and its one-time leaf) is released."""
+
+    def flip(payload):
+        raw = bytearray.fromhex(payload["leaves"])
+        raw[32 * leaf + 7] ^= 0x10
+        payload["leaves"] = raw.hex()
+
+    sk, tok = tmp_path / "sk.qtsl", tmp_path / "token.qtsl"
+    sk.write_bytes(_with_payload(chain_flow["secret-key"], flip))
+    before = sk.read_bytes()
+    assert cli_main(["mint", "--secret-key", str(sk), "--out", str(tok), "--seed", "40"]) == 2
+    assert sk.read_bytes() == before and _next_leaf(sk) == 0
+    assert not tok.exists()
+
+
+def test_swapped_seed_refuses_to_mint(chain_flow, tmp_path):
+    """A seed that does not match the stored leaves is caught by the signed
+    leaf's seed check: no signature, no leaf spent."""
+    sk, tok = tmp_path / "sk.qtsl", tmp_path / "token.qtsl"
+    sk.write_bytes(_with_payload(chain_flow["secret-key"], lambda p: p.update(material="ab" * 32)))
+    assert cli_main(["mint", "--secret-key", str(sk), "--out", str(tok), "--seed", "40"]) == 2
+    assert _next_leaf(sk) == 0
+    assert not tok.exists()

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from qtsl.primitives import (
     HASH_VARIANTS,
+    MAX_CAPACITY_LOG2,
     DataError,
+    KeyExhaustedError,
+    _leaf_secrets,
+    _sha,
     decrypt,
     default_ds_algo,
     ds_keygen,
@@ -19,6 +23,8 @@ from qtsl.primitives import (
     hash_bits,
     hash_eval,
     hash_index,
+    hash_chain_secret_key,
+    hash_chain_tree,
     hash_kappa,
     mac_keygen,
     mac_tag,
@@ -146,6 +152,70 @@ def test_hash_chain_leaf_reuse_detectable():
     a = ds_sign(sk, b"x")
     b = ds_sign(sk, b"y")
     assert a[:4] != b[:4]
+
+
+def test_hash_chain_exhaustion_names_the_used_leaves():
+    _, sk = ds_keygen(16, Random(9), algo="hash-chain", capacity_log2=1)
+    ds_sign(sk, b"a")
+    ds_sign(sk, b"b")
+    with pytest.raises(KeyExhaustedError, match=r"exhausted \(2/2 leaves used\); run keygen"):
+        ds_sign(sk, b"c")
+    assert sk.next_leaf == 2
+
+
+@pytest.mark.parametrize("leaf", [0, 5, 1023])
+def test_leaf_secrets_are_the_length_prefixed_hashes(leaf):
+    """The copied-prefix computation equals the definition, slot 2*pos+val."""
+    seed = bytes(range(32))
+    secrets = _leaf_secrets(seed, leaf)
+    assert len(secrets) == 512
+    for pos in (0, 1, 128, 255):
+        for val in (0, 1):
+            want = _sha(b"leaf", seed, leaf.to_bytes(4, "big"), pos.to_bytes(2, "big"), bytes([val]))
+            assert secrets[2 * pos + val] == want
+
+
+def test_hash_chain_stored_tree_signs_identically():
+    pk, sk = ds_keygen(16, Random(12), algo="hash-chain", capacity_log2=3)
+    leaves, root = hash_chain_tree(sk)
+    assert len(leaves) == 32 * 8 and pk.material[1:] == root
+    stored = hash_chain_secret_key(sk.material, 0, 3, leaves, root)
+    lazy = hash_chain_secret_key(sk.material, 0, 3)
+    sigs = {ds_sign(k, b"doc") for k in (sk, stored, lazy)}
+    assert len(sigs) == 1 and ds_verify(pk, b"doc", sigs.pop())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (b"\0" * 32, -1, 3),
+        (b"\0" * 32, 9, 3),
+        (b"\0" * 32, 0, -1),
+        (b"\0" * 32, 0, MAX_CAPACITY_LOG2 + 1),
+        (b"\0" * 31, 0, 3),
+    ],
+)
+def test_hash_chain_secret_key_range_checks(args):
+    with pytest.raises(DataError):
+        hash_chain_secret_key(*args)
+
+
+def test_hash_chain_rejects_leaf_level_not_matching_root_or_seed():
+    _, sk = ds_keygen(16, Random(13), algo="hash-chain", capacity_log2=3)
+    leaves, root = hash_chain_tree(sk)
+    with pytest.raises(DataError):
+        hash_chain_secret_key(sk.material, 0, 3, leaves[:-1], root)
+    with pytest.raises(DataError):
+        hash_chain_secret_key(sk.material, 0, 3, leaves, None)
+    flipped = bytes([leaves[0] ^ 1]) + leaves[1:]
+    with pytest.raises(DataError):
+        hash_chain_secret_key(sk.material, 0, 3, flipped, root)
+    # a consistent tree stored with another seed: caught when signing, and
+    # no leaf is spent
+    other = hash_chain_secret_key(b"\1" * 32, 2, 3, leaves, root)
+    with pytest.raises(DataError):
+        ds_sign(other, b"doc")
+    assert other.next_leaf == 2
 
 
 def test_hash_chain_cross_message_rejects():

@@ -219,6 +219,16 @@ def test_tm_verify_token_and_revoke():
     assert accepted >= 15  # toy-8 at n=8: success (15/16)^8 ~ 0.6
 
 
+def test_tm_revoke_measures_a_spent_token():
+    key, rng = tm_setup(20)
+    results = []
+    for _ in range(10):
+        token = tm_token_gen(key, rng)
+        tm_sign(b"spent", token, rng)
+        results.append(tm_revoke(key, token, rng))
+    assert results == [False] * 10
+
+
 def test_tm_signature_is_selfcontained_for_verifier():
     """The verifier needs only its long-lived key and the signature; the
     minting-time token object is not consulted."""

@@ -203,6 +203,19 @@ def test_ts_revoke_consumes():
     assert sum(results) > 25  # failures only on zero outcomes
 
 
+def test_ts_revoke_measures_a_spent_token():
+    """A token that already signed is still taken back and measured; what
+    is left of it almost never passes as an unspent token."""
+    rng = Random(15)
+    pk, sk = ts_keygen(16, rng, hash_variant="toy-8", n_override=8)
+    results = []
+    for _ in range(10):
+        token = ts_token_gen(sk, rng)
+        ts_sign(b"spent", token, rng)
+        results.append(ts_revoke(pk, token, rng))
+    assert results == [False] * 10
+
+
 def test_encode_ot_public_is_stable_and_versioned():
     rng = Random(14)
     pub, _ = ot_keygen(16, rng, hash_variant="toy-8", n_override=4)
