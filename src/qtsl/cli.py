@@ -129,7 +129,9 @@ def wrap_container(kind: str, payload: dict) -> bytes:
 def unwrap_container(data: bytes, kind: str | None = None) -> tuple[str, dict]:
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: bad UTF-8, bad JSON or an int past the digit limit;
+    # RecursionError: arrays or objects nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"not a container: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataError("container must be a JSON object")
@@ -138,7 +140,7 @@ def unwrap_container(data: bytes, kind: str | None = None) -> tuple[str, dict]:
     if obj.get("version") != CONTAINER_VERSION:
         raise DataError(f"unsupported container version {obj.get('version')!r}")
     got = obj.get("kind")
-    if got not in CONTAINER_KINDS:
+    if not isinstance(got, str) or got not in CONTAINER_KINDS:
         raise DataError(f"unknown container kind {got!r}")
     if obj.get("secrecy") != CONTAINER_KINDS[got]:
         raise DataError("secrecy label does not match the container kind")
@@ -181,6 +183,13 @@ def _hex(payload: dict, key: str) -> bytes:
         return bytes.fromhex(raw)
     except ValueError as exc:
         raise DataError(f"field {key!r} is not hex") from exc
+
+
+def _kappa(payload: dict) -> int:
+    kappa = _need(payload, "kappa", int)
+    if not 1 <= kappa < 1 << 32:  # what keygen accepts and a hash index can carry
+        raise DataError(f"kappa {kappa} out of range")
+    return kappa
 
 
 def _dict(payload: dict, key: str) -> dict:
@@ -239,7 +248,7 @@ def decode_public_key(data: bytes) -> TsPublicKey:
         raise DataError("unknown hash variant")
     return TsPublicKey(
         DsPublicKey(algo, _hex(payload, "material")),
-        _need(payload, "kappa", int),
+        _kappa(payload),
         payload["hash_variant"],
         _opt_int(payload, "n"),
     )
@@ -282,7 +291,7 @@ def decode_secret_key(data: bytes) -> TsSecretKey:
     else:
         ds = DsSecretKey(algo, material)
     return TsSecretKey(
-        ds, _need(payload, "kappa", int), payload["hash_variant"], _opt_int(payload, "n")
+        ds, _kappa(payload), payload["hash_variant"], _opt_int(payload, "n")
     )
 
 
@@ -314,6 +323,9 @@ def _token_payload(token: TsToken) -> dict:
 def _token_from_payload(payload: dict) -> TsToken:
     ot_public = _dec_ot_public(_dict(payload, "ot_public"))
     toks = [_dec_ot1_token(t) for t in _list(payload, "tokens")]
+    for pk, tok in zip(ot_public.otr.components, toks):
+        if tok.state.ambient_n != _hidden_space(pk).ambient_n:
+            raise DataError("token state length disagrees with its public component")
     inner = OtToken(ot_public.s, OtrToken(toks))
     return TsToken(ot_public, _hex(payload, "chain_sig"), inner)
 
@@ -408,6 +420,7 @@ def _read(path: str) -> bytes:
 
 
 def _write(path: str, data: bytes) -> None:
+    """Write a new output file (state files go through ``_locked_update``)."""
     try:
         Path(path).write_bytes(data)
     except OSError as exc:
@@ -438,30 +451,46 @@ def _replace_durably(path: str, data: bytes) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _mint_with_key(path: str, mint):
-    """Run ``mint(secret_key)`` and persist the key's advanced signing state.
+def _locked_update(path: str, decode, step, encode):
+    """Decode ``path``, run ``step`` on the value, durably write back
+    ``encode(value)`` (skipped when it returns None) and return what the
+    step returned.
 
-    A hash-chain key's next leaf is one-time state: the read -> sign ->
-    write-back runs under an exclusive lock on a ``<key>.lock`` sidecar (the
-    key file itself is replaced, so its inode cannot carry the lock), and
-    the key is durably rewritten before the caller releases what was minted.
-    Ed25519 keys hold no state and are not rewritten.
+    Token, coin and hash-chain key files hold one-time state, so the whole
+    read -> step -> write-back runs under an exclusive lock on a
+    ``<path>.lock`` sidecar (the file itself is replaced, so its inode
+    cannot carry the lock), and the new state is on disk before the caller
+    writes any signature, check, token or coin.  A step that raises leaves
+    the file as it was.
     """
     import fcntl  # POSIX only; every other command runs without it
 
     try:
+        os.stat(path)  # a mistyped path gets an error, not a stray sidecar
         lock_fd = os.open(f"{path}.lock", os.O_RDWR | os.O_CREAT, 0o600)
     except OSError as exc:
         raise DataError(f"cannot lock {path}: {exc.strerror or exc}") from exc
     try:
         fcntl.flock(lock_fd, fcntl.LOCK_EX)
-        sk = decode_secret_key(_read(path))
-        minted = mint(sk)
-        if sk.ds_sk.algo == "hash-chain":
-            _replace_durably(path, encode_secret_key(sk))
-        return minted
+        value = decode(_read(path))
+        result = step(value)
+        data = encode(value)
+        if data is not None:
+            _replace_durably(path, data)
+        return result
     finally:
         os.close(lock_fd)
+
+
+def _mint_with_key(path: str, mint):
+    """Run ``mint(secret_key)``; a hash-chain key is rewritten with its next
+    leaf advanced, an Ed25519 key (no state) is left untouched."""
+    return _locked_update(
+        path,
+        decode_secret_key,
+        mint,
+        lambda sk: encode_secret_key(sk) if sk.ds_sk.algo == "hash-chain" else None,
+    )
 
 
 def _doc_bytes(args) -> bytes:
@@ -495,11 +524,13 @@ def _require_fresh(token: TsToken) -> None:
 
 
 def _cmd_sign(args) -> int:
-    token = decode_token(_read(args.token))
-    _require_fresh(token)
     doc = _doc_bytes(args)
-    sig = ts_sign(doc, token, Random(args.seed))
-    _write(args.token, encode_token(token))  # consumed either way
+
+    def sign(token: TsToken) -> TsSignature | None:
+        _require_fresh(token)
+        return ts_sign(doc, token, Random(args.seed))  # consumed either way
+
+    sig = _locked_update(args.token, decode_token, sign, encode_token)
     if sig is None:
         print("signing failed (zero outcome); token consumed", file=sys.stderr)
         return 1
@@ -518,18 +549,24 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_token(args) -> int:
     pk = decode_public_key(_read(args.public_key))
-    token = decode_token(_read(args.token))
-    ok, token = ts_verify_token(pk, token, Random(args.seed))
-    _write(args.token, encode_token(token))
+    ok = _locked_update(
+        args.token,
+        decode_token,
+        lambda token: ts_verify_token(pk, token, Random(args.seed))[0],
+        encode_token,
+    )
     print("ACCEPT" if ok else "REJECT")
     return 0 if ok else 1
 
 
 def _cmd_revoke(args) -> int:
     pk = decode_public_key(_read(args.public_key))
-    token = decode_token(_read(args.token))
-    ok = ts_revoke(pk, token, Random(args.seed))
-    _write(args.token, encode_token(token))
+    ok = _locked_update(
+        args.token,
+        decode_token,
+        lambda token: ts_revoke(pk, token, Random(args.seed)),
+        encode_token,
+    )
     print("REVOKED" if ok else "REVOCATION FAILED")
     return 0 if ok else 1
 
@@ -542,15 +579,17 @@ def _cmd_mint_coin(args) -> int:
 
 
 def _cmd_check_write(args) -> int:
-    coin = decode_coin(_read(args.coin))
-    _require_fresh(coin.token)
-    try:
-        check = check_write(coin, args.payee, args.branch, args.time, Random(args.seed))
-    except SignFailedError:
-        _write(args.coin, encode_coin(coin))
+    def write(coin: Coin) -> Check | None:
+        _require_fresh(coin.token)
+        try:
+            return check_write(coin, args.payee, args.branch, args.time, Random(args.seed))
+        except SignFailedError:
+            return None  # the coin is burned either way
+
+    check = _locked_update(args.coin, decode_coin, write, encode_coin)
+    if check is None:
         print("check signing failed; coin is burned", file=sys.stderr)
         return 1
-    _write(args.coin, encode_coin(coin))
     _write(args.out, encode_check(check))
     print(f"wrote check -> {args.out}")
     return 0

@@ -84,7 +84,7 @@ def decode_space(obj: Any) -> Subspace:
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise DataError("subspace field must be {n, rows}")
     n = obj["n"]
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:  # a JSON true is no length
         raise DataError(f"bad ambient {n!r}")
     rows = obj["rows"]
     if not isinstance(rows, list):
@@ -115,7 +115,7 @@ def decode_state(obj: Any) -> CosetState:
         raise DataError("state field must be {kind, n, ...}")
     kind = obj["kind"]
     n = obj["n"]
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:  # a JSON true is no length
         raise DataError(f"bad ambient {n!r}")
     if kind == "subspace":
         space = decode_space(obj.get("space"))

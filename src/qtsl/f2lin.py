@@ -20,7 +20,6 @@ __all__ = [
     "F2Vector",
     "Subspace",
     "xor_add",
-    "dot",
     "canonicalize",
     "dual",
     "member",
@@ -106,13 +105,6 @@ def xor_add(u: F2Vector, v: F2Vector) -> F2Vector:
     if u.n != v.n:
         raise DimensionError(f"length mismatch: {u.n} vs {v.n}")
     return F2Vector(u.n, u.value ^ v.value)
-
-
-def dot(u: F2Vector, v: F2Vector) -> int:
-    """Inner product mod 2."""
-    if u.n != v.n:
-        raise DimensionError(f"length mismatch: {u.n} vs {v.n}")
-    return (u.value & v.value).bit_count() & 1
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:

@@ -3,7 +3,7 @@
 Every game is a Monte Carlo estimate with a Wilson 95% interval, driven by
 per-trial rng streams derived deterministically from a master seed, so a
 report is a pure function of (parameters, seed) and safe to compare
-byte-for-byte across runs or across worker processes.
+byte-for-byte across runs.
 
 A trial may be declared *void* by a strategy (TrialVoid): the trial is
 discarded and re-run under the next derived stream.  Strategies use this to
@@ -163,6 +163,8 @@ class GameReport:
 def _jsonable(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if hasattr(obj, "_fields"):  # a named tuple (e.g. a CosetState) is no list
+        raise TypeError(f"{type(obj).__name__} has no report form")
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, float):

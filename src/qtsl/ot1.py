@@ -11,7 +11,6 @@ a signing failure.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from random import Random
 
@@ -73,7 +72,6 @@ class MembershipOracle:
         self.__space = space
         self.__mode = mode
         self.__count = 0
-        self.__lock = threading.Lock()
         self.__key_id = bytes(key_id)
 
     @property
@@ -94,13 +92,11 @@ class MembershipOracle:
             raise OracleWithheldError("oracle queries are withheld")
         if p not in (0, 1):
             raise ValueError(f"selector must be 0 or 1, got {p!r}")
-        with self.__lock:
-            self.__count += 1
+        self.__count += 1
         return member_or_dual(self.__space, v, p)
 
     def _charge(self, amount: int) -> None:
-        with self.__lock:
-            self.__count += amount
+        self.__count += amount
 
     def __repr__(self) -> str:
         return (

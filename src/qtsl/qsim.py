@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .f2lin import (
     DimensionError,
@@ -62,9 +62,12 @@ class UnsupportedStateError(RuntimeError):
     """An operation was applied to a state outside the tracked family."""
 
 
-@dataclass(frozen=True)
-class CosetState:
-    """Symbolic state: kind is one of subspace | basis | phase | unsupported."""
+class CosetState(NamedTuple):
+    """Symbolic state: kind is one of subspace | basis | phase | unsupported.
+
+    An immutable tuple of its fields, so it is cheap to build; it compares
+    and hashes by those fields.
+    """
 
     ambient_n: int
     kind: str
@@ -154,9 +157,13 @@ def project_subspace(
 
     Accepting leaves the uniform superposition over ``space``; rejecting
     leaves a residual outside the tracked family, reported as Unsupported.
+    A state already on ``space`` is returned as it is: the projection is the
+    identity there and draws nothing from ``rng``.
     """
     if space.ambient_n % 2 or space.dim != space.ambient_n // 2:
         raise DimensionError("projection target must be half-dimension")
+    if state.kind == "subspace" and state.space == space:
+        return True, state
     p = projection_accept_probability(state, space)
     if p >= 1.0 or (p > 0.0 and rng.random() < p):
         return True, subspace_state(space)

@@ -6,6 +6,7 @@ a few seeds; everything is deterministic per seed, so once a seed works it
 works on every rerun.
 """
 
+import itertools
 import json
 from pathlib import Path
 from random import Random
@@ -37,6 +38,7 @@ from qtsl.primitives import DataError, ds_keygen, ds_sign, ds_verify
 from qtsl.stack import (
     TsSecretKey,
     encode_ot_public,
+    one_bit_tokens,
     ts_keygen,
     ts_sign,
     ts_token_gen,
@@ -144,6 +146,9 @@ def test_public_key_roundtrip_byte_stable(keypair):
         {"kappa": "16"},
         {"material": "zz"},
         {"n": "8"},
+        {"kappa": 0},
+        {"kappa": -5},  # revoke drew a negative-length document from it
+        {"kappa": 1 << 32},
     ],
 )
 def test_public_key_rejects_bad_fields(keypair, twist):
@@ -169,6 +174,13 @@ def test_secret_key_roundtrip_preserves_chain_state():
     token = ts_token_gen(back, Random(2))
     assert back.ds_sk.next_leaf == 2
     assert ds_verify(pk.ds_pk, encode_ot_public(token.ot_public), token.chain_sig)
+
+
+@pytest.mark.parametrize("kappa", [0, -5, 1 << 32])
+def test_secret_key_rejects_kappa_out_of_range(kappa):
+    _, sk = ts_keygen(16, Random(3), "toy-8", "ed25519", 8)
+    with pytest.raises(DataError):
+        decode_secret_key(_twisted(encode_secret_key(sk), kappa=kappa))
 
 
 _JSON = st.recursive(
@@ -441,6 +453,25 @@ def test_cli_check_flow(tmp_path):
                  "--time", 778, "--out", check, "--seed", 0) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sign", "--token", "missing", "--text", "x", "--out", "s"),
+        ("verify-token", "--public-key", "bank.pk", "--token", "missing"),
+        ("revoke", "--public-key", "bank.pk", "--token", "missing"),
+        ("check-write", "--coin", "missing", "--payee", "bob", "--branch", 1, "--time", 1,
+         "--out", "c"),
+        ("mint", "--secret-key", "missing", "--out", "t"),
+    ],
+)
+def test_cli_missing_state_file_leaves_no_lock(tmp_path, monkeypatch, capsys, argv):
+    _keys(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert _qtsl(*argv) == 2
+    assert "No such file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bank.pk", "bank.sk"]
+
+
 def test_cli_mint_advances_stateful_key(tmp_path):
     _, sec = _keys(tmp_path, "--ds", "hash-chain")
     assert decode_secret_key(sec.read_bytes()).ds_sk.next_leaf == 0
@@ -491,6 +522,142 @@ def test_cli_concurrent_mints_use_distinct_leaves(tmp_path, chain_key):
     leaves = {decode_token(out.read_bytes()).chain_sig[:4] for out in outs}
     assert leaves == {(0).to_bytes(4, "big"), (1).to_bytes(4, "big")}
     assert decode_secret_key(sec.read_bytes()).ds_sk.next_leaf == 2
+
+
+# Each process imports the package, reports ready, then waits for a gate
+# file, so the two commands start within a millisecond of each other.  The
+# races use CLI-default sizes, where a command spends tens of milliseconds
+# between reading its file and writing it back; which process gets there
+# first still varies, so each race runs a few rounds.
+RACE_ROUNDS = 3
+RACE_KEY = ("--kappa", 64, "--hash", "sha256-256", "--n", 30)
+_GATED_MAIN = """
+import sys, time, pathlib
+import qtsl.cli
+gate, ready = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+ready.touch()
+while not gate.exists():
+    time.sleep(0.0005)
+time.sleep(float(sys.argv[3]))
+sys.exit(qtsl.cli.main(sys.argv[4:]))
+"""
+
+
+def _race(tmp_path, first, second, lag: float = 0.0) -> list[int]:
+    """Run two qtsl commands as exactly two processes released together,
+    the first ``lag`` seconds after the second; returns their exit codes."""
+    import os
+    import subprocess
+    import sys
+    import time
+
+    import qtsl
+
+    src = str(Path(qtsl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    gate = tmp_path / "gate"
+    ready = [tmp_path / f"ready{i}" for i in range(2)]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _GATED_MAIN, str(gate), str(flag), str(delay),
+             *map(str, argv)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        for flag, delay, argv in zip(ready, (lag, 0.0), (first, second))
+    ]
+    try:
+        deadline = time.monotonic() + 120
+        while not all(f.exists() for f in ready) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        gate.touch()
+        return [p.wait(timeout=120) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+
+
+def _spent(token) -> bool:
+    return all(t.lifecycle == "spent" for t in one_bit_tokens(decode_token(token.read_bytes())))
+
+
+def _signing_token(tmp_path, sec, text, count):
+    """Mint a token file and find ``count`` sign seeds that each sign it
+    (signing can fail with a zero outcome)."""
+    token = tmp_path / "tok"
+    assert _qtsl("mint", "--secret-key", sec, "--out", token, "--seed", 0) == 0
+    blob = token.read_bytes()
+    seeds = (s for s in range(60) if ts_sign(text.encode(), decode_token(blob), Random(s)))
+    return token, list(itertools.islice(seeds, count))
+
+
+def test_cli_concurrent_signs_use_the_token_once(tmp_path):
+    """Two sign processes on one token file: the lock serialises them, so
+    one signs and the other finds the token consumed (exit 3)."""
+    _, sec = _keys(tmp_path, *RACE_KEY)
+    token, seeds = _signing_token(tmp_path, sec, "pay bob 5", 2)
+    fresh = token.read_bytes()
+    sigs = [tmp_path / f"sig{i}" for i in range(2)]
+    for _ in range(RACE_ROUNDS):
+        token.write_bytes(fresh)
+        for sig in sigs:
+            sig.unlink(missing_ok=True)
+        codes = _race(
+            tmp_path,
+            *[("sign", "--token", token, "--text", "pay bob 5", "--out", sig, "--seed", seed)
+              for sig, seed in zip(sigs, seeds)],
+        )
+        assert sorted(codes) == [0, 3]
+        assert [sig.exists() for sig in sigs] == [code == 0 for code in codes]
+        assert _spent(token)
+
+
+def test_cli_concurrent_check_writes_burn_the_coin_once(tmp_path):
+    _, sec = _keys(tmp_path, *RACE_KEY)
+    coin = tmp_path / "coin"
+    assert _qtsl("mint-coin", "--secret-key", sec, "--out", coin, "--seed", 0) == 0
+    fresh = coin.read_bytes()
+    seeds = []
+    for seed in range(60):
+        try:
+            check_write(decode_coin(fresh), "alice", 3, 777, Random(seed))
+            seeds.append(seed)
+        except SignFailedError:
+            pass
+        if len(seeds) == 2:
+            break
+    checks = [tmp_path / f"check{i}" for i in range(2)]
+    for _ in range(RACE_ROUNDS):
+        coin.write_bytes(fresh)
+        for check in checks:
+            check.unlink(missing_ok=True)
+        codes = _race(
+            tmp_path,
+            *[("check-write", "--coin", coin, "--payee", "alice", "--branch", 3, "--time", 777,
+               "--out", check, "--seed", seed) for check, seed in zip(checks, seeds)],
+        )
+        assert sorted(codes) == [0, 3]
+        assert [check.exists() for check in checks] == [code == 0 for code in codes]
+
+
+def test_cli_verify_token_racing_sign_leaves_no_fresh_token(tmp_path):
+    """verify-token writes back the token it checked; under the lock it can
+    never write a fresh copy over a token a concurrent sign has spent.  The
+    check starts a little later each round, so that without the lock it
+    would read the token while the sign holds it and write after it."""
+    pub, sec = _keys(tmp_path, *RACE_KEY)
+    token, (seed,) = _signing_token(tmp_path, sec, "pay bob 5", 1)
+    fresh = token.read_bytes()
+    for round_ in range(RACE_ROUNDS):
+        token.write_bytes(fresh)
+        codes = _race(
+            tmp_path,
+            ("verify-token", "--public-key", pub, "--token", token, "--seed", 0),
+            ("sign", "--token", token, "--text", "pay bob 5", "--out", tmp_path / "sig",
+             "--seed", seed),
+            lag=0.015 * round_,
+        )
+        assert codes[1] == 0 and codes[0] in (0, 1)
+        assert _spent(token)
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,16 @@ def test_report_json_is_canonical_and_stable():
     assert list(obj) == sorted(obj)
 
 
+def test_report_refuses_a_coset_state():
+    """A CosetState is a named tuple; it must not slip into a report as a
+    plain JSON list."""
+    from qtsl.qsim import unsupported_state
+
+    rep = GameReport("demo", {}, 0, 1, 0, 0.0, (0.0, 1.0), extra={"s": [unsupported_state(4)]})
+    with pytest.raises(TypeError):
+        rep.to_json()
+
+
 # ---------------------------------------------------------------------------
 # capability enforcement
 # ---------------------------------------------------------------------------

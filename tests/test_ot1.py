@@ -63,6 +63,23 @@ def test_oracle_query_counts_and_answers():
         pk.query(inside, 2)
 
 
+def test_oracle_query_count_is_exact_across_queries_and_charges():
+    pk, sk, rng = fresh(3)
+    expected = 0
+    for step in range(200):
+        if rng.random() < 0.5:
+            pk.query(F2Vector(8, rng.getrandbits(8)), rng.getrandbits(1))
+            expected += 1
+        else:
+            amount = rng.randrange(4)
+            pk._charge(amount)
+            expected += amount
+        assert pk.query_count == expected
+    with pytest.raises(ValueError):
+        pk.query(F2Vector(8, 1), 2)  # a refused selector is not charged
+    assert pk.query_count == expected
+
+
 def test_withheld_twin_refuses():
     pk, sk, _ = fresh()
     twin = withheld_twin(pk)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtsl.f2lin import F2Vector, Subspace, dual, member, sample_subspace
+from qtsl.f2lin import DimensionError, F2Vector, Subspace, dual, member, sample_subspace
 from qtsl.qsim import (
     DENSE_MAX_N,
+    CosetState,
     DenseState,
     UnsupportedStateError,
     basis_state,
@@ -109,6 +110,81 @@ def test_project_reject_leaves_unsupported():
         outcomes.add(ok)
         assert not ok and post.is_unsupported()
     assert outcomes == {False}  # not in the space: accept probability is 0
+
+
+def _project_subspace_reference(state, space, rng):
+    """The projection as it was before the identity fast path: the
+    reference the fast path must match draw for draw."""
+    if space.ambient_n % 2 or space.dim != space.ambient_n // 2:
+        raise DimensionError("projection target must be half-dimension")
+    p = projection_accept_probability(state, space)
+    if p >= 1.0 or (p > 0.0 and rng.random() < p):
+        return True, subspace_state(space)
+    return False, unsupported_state(state.ambient_n)
+
+
+def test_project_onto_own_space_is_the_identity():
+    a = half_space(8, 11)
+    state = subspace_state(a)
+    rng = Random(12)
+    before = rng.getstate()
+    for target in (a, Subspace.from_rows(8, a.rows)):  # the same space, or an equal copy
+        ok, post = project_subspace(state, target, rng)
+        assert ok and post is state
+    assert rng.getstate() == before
+
+
+def test_project_checks_half_dimension_before_the_identity():
+    lopsided = Subspace(4, (F2Vector.from_string("1000"),))
+    with pytest.raises(DimensionError):
+        project_subspace(subspace_state(lopsided), lopsided, Random(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 4, 6, 8]),
+    st.sampled_from(["own", "equal", "subspace", "lopsided", "basis", "phase", "unsupported"]),
+    st.integers(0, 2**32),
+)
+def test_project_matches_reference(n, kind, seed):
+    """Verdict, post-state and the rng state after the call all match the
+    reference, for every kind of state against a random half-dimension
+    target."""
+    rng = Random(seed)
+    target = sample_subspace(n, rng)
+    if kind == "own":
+        state = subspace_state(target)
+    elif kind == "equal":
+        state = subspace_state(Subspace.from_rows(n, target.rows))
+    elif kind == "subspace":
+        state = subspace_state(sample_subspace(n, rng))
+    elif kind == "lopsided":  # a subspace state off half dimension
+        state = subspace_state(Subspace.from_rows(n, [1 << (n - 1)]))
+    elif kind == "basis":
+        state = basis_state(F2Vector(n, rng.getrandbits(n)))
+    elif kind == "phase":
+        state = phase_state(F2Vector(n, rng.getrandbits(n)))
+    else:
+        state = unsupported_state(n)
+    fast, ref = Random(seed + 1), Random(seed + 1)
+    assert project_subspace(state, target, fast) == _project_subspace_reference(state, target, ref)
+    assert fast.getstate() == ref.getstate()
+
+
+def test_coset_state_is_an_immutable_value():
+    v = F2Vector.from_string("0110")
+    state = basis_state(v)
+    with pytest.raises(AttributeError):
+        state.kind = "phase"
+    with pytest.raises(AttributeError):
+        state.vector = F2Vector.from_string("1111")
+    assert state == CosetState(4, "basis", vector=F2Vector.from_string("0110"))
+    assert hash(state) == hash(CosetState(4, "basis", vector=F2Vector(4, 6)))
+    assert state != phase_state(v)
+    assert state != basis_state(F2Vector.from_string("0111"))
+    assert len({state, basis_state(F2Vector(4, 6)), phase_state(v), unsupported_state(4)}) == 3
+    assert repr(state) == "CosetState(basis 0110, n=4)"
+    assert repr(subspace_state(half_space(8, 3))) == "CosetState(subspace dim=4, n=8)"
 
 
 # ---------------------------------------------------------------------------
