@@ -185,8 +185,7 @@ def _hex(payload: dict, key: str) -> bytes:
         raise DataError(f"field {key!r} is not hex") from exc
 
 
-def _kappa(payload: dict) -> int:
-    kappa = _need(payload, "kappa", int)
+def _kappa(kappa: int) -> int:
     if not 1 <= kappa < 1 << 32:  # what keygen accepts and a hash index can carry
         raise DataError(f"kappa {kappa} out of range")
     return kappa
@@ -248,7 +247,7 @@ def decode_public_key(data: bytes) -> TsPublicKey:
         raise DataError("unknown hash variant")
     return TsPublicKey(
         DsPublicKey(algo, _hex(payload, "material")),
-        _kappa(payload),
+        _kappa(_need(payload, "kappa", int)),
         payload["hash_variant"],
         _opt_int(payload, "n"),
     )
@@ -291,7 +290,7 @@ def decode_secret_key(data: bytes) -> TsSecretKey:
     else:
         ds = DsSecretKey(algo, material)
     return TsSecretKey(
-        ds, _kappa(payload), payload["hash_variant"], _opt_int(payload, "n")
+        ds, _kappa(_need(payload, "kappa", int)), payload["hash_variant"], _opt_int(payload, "n")
     )
 
 
@@ -453,8 +452,8 @@ def _replace_durably(path: str, data: bytes) -> None:
 
 def _locked_update(path: str, decode, step, encode):
     """Decode ``path``, run ``step`` on the value, durably write back
-    ``encode(value)`` (skipped when it returns None) and return what the
-    step returned.
+    ``encode(value)`` when its bytes differ from the file's and return what
+    the step returned.
 
     Token, coin and hash-chain key files hold one-time state, so the whole
     read -> step -> write-back runs under an exclusive lock on a
@@ -472,25 +471,15 @@ def _locked_update(path: str, decode, step, encode):
         raise DataError(f"cannot lock {path}: {exc.strerror or exc}") from exc
     try:
         fcntl.flock(lock_fd, fcntl.LOCK_EX)
-        value = decode(_read(path))
+        old = _read(path)
+        value = decode(old)
         result = step(value)
-        data = encode(value)
-        if data is not None:
-            _replace_durably(path, data)
+        new = encode(value)
+        if new != old:
+            _replace_durably(path, new)
         return result
     finally:
         os.close(lock_fd)
-
-
-def _mint_with_key(path: str, mint):
-    """Run ``mint(secret_key)``; a hash-chain key is rewritten with its next
-    leaf advanced, an Ed25519 key (no state) is left untouched."""
-    return _locked_update(
-        path,
-        decode_secret_key,
-        mint,
-        lambda sk: encode_secret_key(sk) if sk.ds_sk.algo == "hash-chain" else None,
-    )
 
 
 def _doc_bytes(args) -> bytes:
@@ -504,7 +493,7 @@ def _doc_bytes(args) -> bytes:
 
 def _cmd_keygen(args) -> int:
     rng = Random(args.seed)
-    pk, sk = ts_keygen(args.kappa, rng, args.hash, args.ds, args.n)
+    pk, sk = ts_keygen(_kappa(args.kappa), rng, args.hash, args.ds, args.n)
     _write(args.public_out, encode_public_key(pk))
     _write(args.secret_out, encode_secret_key(sk))
     print(f"wrote public key to {args.public_out} and secret key to {args.secret_out}")
@@ -512,7 +501,12 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_mint(args) -> int:
-    token = _mint_with_key(args.secret_key, lambda sk: ts_token_gen(sk, Random(args.seed)))
+    token = _locked_update(
+        args.secret_key,
+        decode_secret_key,
+        lambda sk: ts_token_gen(sk, Random(args.seed)),
+        encode_secret_key,
+    )
     _write(args.out, encode_token(token))
     print(f"minted token -> {args.out}")
     return 0
@@ -572,7 +566,12 @@ def _cmd_revoke(args) -> int:
 
 
 def _cmd_mint_coin(args) -> int:
-    coin = _mint_with_key(args.secret_key, lambda sk: coin_mint(sk, Random(args.seed)))
+    coin = _locked_update(
+        args.secret_key,
+        decode_secret_key,
+        lambda sk: coin_mint(sk, Random(args.seed)),
+        encode_secret_key,
+    )
     _write(args.out, encode_coin(coin))
     print(f"minted coin {coin.serial[:16]}... -> {args.out}")
     return 0

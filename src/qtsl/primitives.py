@@ -12,6 +12,7 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 
 __all__ = [
@@ -128,20 +129,6 @@ except Exception:  # pragma: no cover
     _HAVE_ED25519 = False
 
 
-if _HAVE_ED25519:
-    from functools import lru_cache
-
-    # parsing raw bytes into key objects dominates verify time in the
-    # experiment loops, so memoize it
-    @lru_cache(maxsize=256)
-    def _ed25519_public(material: bytes):
-        return Ed25519PublicKey.from_public_bytes(material)
-
-    @lru_cache(maxsize=64)
-    def _ed25519_private(material: bytes):
-        return Ed25519PrivateKey.from_private_bytes(material)
-
-
 def default_ds_algo() -> str:
     return "ed25519" if _HAVE_ED25519 else "hash-chain"
 
@@ -150,6 +137,11 @@ def default_ds_algo() -> str:
 class DsPublicKey:
     algo: str
     material: bytes
+
+    @cached_property
+    def _ed25519(self):
+        # parsing the raw bytes dominates an Ed25519 verify, so a key parses once
+        return Ed25519PublicKey.from_public_bytes(self.material)
 
 
 @dataclass
@@ -160,6 +152,10 @@ class DsSecretKey:
     next_leaf: int = 0
     capacity_log2: int = 0
     _tree: list | None = field(default=None, repr=False)
+
+    @cached_property
+    def _ed25519(self):
+        return Ed25519PrivateKey.from_private_bytes(self.material)
 
 
 # -- self-contained hash-based scheme (one-time leaves under a Merkle root) --
@@ -365,48 +361,25 @@ def ds_keygen(
 
 def ds_sign(sk: DsSecretKey, message: bytes) -> bytes:
     if sk.algo == "ed25519":
-        return _ed25519_private(sk.material).sign(message)
+        return sk._ed25519.sign(message)
     if sk.algo == "hash-chain":
         return _hash_chain_sign(sk, message)
     raise ValueError(f"unknown signature algorithm {sk.algo!r}")
 
 
-def _ds_verify_uncached(pk: DsPublicKey, message: bytes, signature: bytes) -> bool:
+def ds_verify(pk: DsPublicKey, message: bytes, signature: bytes) -> bool:
+    """Total and deterministic: malformed input verifies false, never raises."""
+    if not isinstance(signature, (bytes, bytearray)):
+        return False
     if pk.algo == "ed25519":
         try:
-            _ed25519_public(pk.material).verify(signature, message)
+            pk._ed25519.verify(signature, message)
             return True
         except Exception:
             return False
     if pk.algo == "hash-chain":
         return _hash_chain_verify(pk, message, signature)
     return False
-
-
-_VERIFY_CACHE: dict[tuple[str, bytes, bytes, bytes], bool] = {}
-_VERIFY_CACHE_MAX = 256
-
-
-def ds_verify(pk: DsPublicKey, message: bytes, signature: bytes) -> bool:
-    """Total and deterministic: malformed input verifies false, never raises.
-
-    Both algorithms verify deterministically, so repeated checks of the same
-    triple (common when a long-lived credential is re-validated on every use)
-    are answered from a small memo.  The memo is keyed by the message's
-    SHA-256, not the message, so an entry stays small however long the
-    certified key encoding is.
-    """
-    if not isinstance(signature, (bytes, bytearray)):
-        return False
-    key = (pk.algo, pk.material, hashlib.sha256(message).digest(), bytes(signature))
-    hit = _VERIFY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ok = _ds_verify_uncached(pk, message, key[3])
-    if len(_VERIFY_CACHE) >= _VERIFY_CACHE_MAX:
-        _VERIFY_CACHE.clear()
-    _VERIFY_CACHE[key] = ok
-    return ok
 
 
 # ---------------------------------------------------------------------------

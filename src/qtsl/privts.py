@@ -179,7 +179,8 @@ def decode_priv_ot_key(raw: bytes) -> OtPublicKey:
 @dataclass(frozen=True)
 class TmKey:
     """Long-lived secret: independent MAC and encryption keys plus the
-    parameters used to mint per-token inner keys."""
+    parameters used to mint per-token inner keys.  The last key blob opened
+    under it is kept on it (``_open_key_blob``)."""
 
     mac_key: bytes
     enc_key: bytes
@@ -227,26 +228,20 @@ def tm_sign(doc: bytes, token: TmToken, rng: Random) -> TmSignature | None:
     return TmSignature(token.key_blob, token.tag, inner)
 
 
-_BLOB_CACHE: dict[tuple[bytes, bytes, bytes, bytes], "OtPublicKey | None"] = {}
-_BLOB_CACHE_MAX = 256
-
-
 def _open_key_blob(
     key: TmKey, blob: bytes, tag: bytes, trace: list | None
 ) -> OtPublicKey | None:
     """Tag check strictly before any decryption; None means reject.
 
-    Opening is deterministic in (keys, blob, tag), so untraced calls are
-    answered from a bounded memo; a holder re-checking one credential many
-    times would otherwise redo the same MAC + decrypt + parse each time.
-    Instrumented calls bypass the memo so the recorded order stays honest.
+    Opening is deterministic in (key, blob, tag), so the last blob opened is
+    kept on the key: a holder re-checking one credential would otherwise
+    redo the same MAC + decrypt + parse each time.  Instrumented calls skip
+    it so the recorded order stays honest.
     """
-    cache_key = None
-    if trace is None:
-        cache_key = (key.mac_key, key.enc_key, blob, tag)
-        hit = _BLOB_CACHE.get(cache_key, _BLOB_CACHE)
-        if hit is not _BLOB_CACHE:
-            return hit
+    asked = (blob, tag)
+    last = key.__dict__.get("_opened")
+    if trace is None and last is not None and last[0] == asked:
+        return last[1]
     ok = mac_verify(key.mac_key, blob, tag)
     if trace is not None:
         trace.append(("mac", ok))
@@ -260,10 +255,7 @@ def _open_key_blob(
             inner_key = None
         if trace is not None:
             trace.append(("decrypt", inner_key is not None))
-    if cache_key is not None:
-        if len(_BLOB_CACHE) >= _BLOB_CACHE_MAX:
-            _BLOB_CACHE.clear()
-        _BLOB_CACHE[cache_key] = inner_key
+    object.__setattr__(key, "_opened", (asked, inner_key))
     return inner_key
 
 

@@ -208,6 +208,21 @@ class OtPublicKey:
         spaces = [encode_space(_hidden_space(c)) for c in self.otr.components]
         return canonical_json({"v": 1, "kind": "ot-pub", "s": self.s.hex(), "spaces": spaces})
 
+    def _certified_by(self, ds_pk: DsPublicKey, chain_sig: bytes) -> bool:
+        """Whether ``chain_sig`` is ``ds_pk``'s signature on this key.
+
+        The key is immutable, so the verdict depends only on (ds_pk,
+        chain_sig); the last one is kept here, and a credential re-checked
+        under one long-lived key is verified once.
+        """
+        asked = (ds_pk, chain_sig)
+        last = self.__dict__.get("_chain_verdict")
+        if last is not None and last[0] == asked:
+            return last[1]
+        ok = ds_verify(ds_pk, encode_ot_public(self), chain_sig)
+        object.__setattr__(self, "_chain_verdict", (asked, ok))
+        return ok
+
 
 @dataclass(frozen=True)
 class OtSecretKey:
@@ -347,13 +362,13 @@ def ts_verify(pk: TsPublicKey, doc: bytes, sig: TsSignature) -> bool:
     """Chain certificate first, then the single-use signature itself."""
     if not isinstance(sig, TsSignature):
         return False
-    if not ds_verify(pk.ds_pk, encode_ot_public(sig.ot_public), sig.chain_sig):
+    if not sig.ot_public._certified_by(pk.ds_pk, sig.chain_sig):
         return False
     return ot_verify(sig.ot_public, doc, sig.ot_sig)
 
 
 def ts_verify_token(pk: TsPublicKey, token: TsToken, rng: Random) -> tuple[bool, TsToken]:
-    if not ds_verify(pk.ds_pk, encode_ot_public(token.ot_public), token.chain_sig):
+    if not token.ot_public._certified_by(pk.ds_pk, token.chain_sig):
         return False, token
     ok, _ = ot_verify_token(token.ot_public, token.ot_token, rng)
     return ok, token

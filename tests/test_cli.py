@@ -418,6 +418,32 @@ def test_cli_verify_token_then_sign(tmp_path, capsys):
                  "--signature", sig) == 0
 
 
+def test_cli_verify_token_rewrites_only_a_changed_token(tmp_path):
+    pub, sec = _keys(tmp_path)
+    token = tmp_path / "tok"
+    assert _qtsl("mint", "--secret-key", sec, "--out", token, "--seed", 0) == 0
+    before = token.stat()
+    for seed in (0, 1):
+        assert _qtsl("verify-token", "--public-key", pub, "--token", token, "--seed", seed) == 0
+    after = token.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    # a token that signed holds measured states, and a check projects them anew
+    assert _qtsl("sign", "--token", token, "--text", "x", "--out", tmp_path / "sig",
+                 "--seed", 0) in (0, 1)
+    spent = token.read_bytes()
+    assert _qtsl("verify-token", "--public-key", pub, "--token", token, "--seed", 0) in (0, 1)
+    assert token.read_bytes() != spent
+
+
+@pytest.mark.parametrize("kappa", [0, -3, 1 << 32])
+def test_cli_keygen_rejects_kappa_out_of_range(tmp_path, capsys, kappa):
+    pub, sec = tmp_path / "pk", tmp_path / "sk"
+    capsys.readouterr()
+    assert _qtsl("keygen", "--kappa", kappa, "--public-out", pub, "--secret-out", sec) == 2
+    assert f"kappa {kappa} out of range" in capsys.readouterr().err
+    assert not pub.exists() and not sec.exists()
+
+
 def test_cli_revoke(tmp_path, capsys):
     pub, sec = _keys(tmp_path)
     token = tmp_path / "tok"

@@ -273,13 +273,48 @@ def test_wrong_key_garbles():
     assert decrypt(k2, ct) != b"secret content"
 
 
-def test_verify_memo_is_bounded_and_holds_no_messages():
-    from qtsl import primitives
+def _module_state():
+    """Size of every module-level dict, list and set in the loaded qtsl
+    modules, and the names of module globals that are functools caches."""
+    import sys
 
-    pk, sk = ds_keygen(32, Random(9), algo="ed25519")
+    sizes, caches = {}, []
+    for name, mod in list(sys.modules.items()):
+        if name != "qtsl" and not name.startswith("qtsl."):
+            continue
+        for attr, value in vars(mod).items():
+            if attr.startswith("__"):
+                continue
+            if isinstance(value, (dict, list, set)):
+                sizes[f"{name}.{attr}"] = len(value)
+            if callable(getattr(value, "cache_info", None)):
+                caches.append(f"{name}.{attr}")
+    return sizes, caches
+
+
+def test_verifying_leaves_no_module_state():
+    import qtsl.cli  # noqa: F401  (loads every qtsl module)
+    from qtsl.privts import tm_keygen, tm_sign, tm_token_gen, tm_verify
+    from qtsl.stack import ts_keygen, ts_token_gen, ts_verify_token
+
+    rng = Random(9)
+    pk, sk = ds_keygen(32, rng, algo="ed25519")
     messages = [b"certified key encoding %d " % i + b"x" * 2000 for i in range(300)]
-    for m in messages:
-        assert ds_verify(pk, m, ds_sign(sk, m))
-    assert len(primitives._VERIFY_CACHE) <= 256
-    held = {part for key in primitives._VERIFY_CACHE for part in key}
-    assert not held.intersection(messages)
+    signed = [(m, ds_sign(sk, m)) for m in messages]
+    ts_pk, ts_sk = ts_keygen(16, rng, "toy-8", "ed25519", 8)
+    tokens = [ts_token_gen(ts_sk, rng) for _ in range(3)]
+    tm_key = tm_keygen(16, rng, "toy-8", 8)
+    tm_sigs = [tm_sign(b"doc %d" % i, tm_token_gen(tm_key, rng), rng) for i in range(20)]
+    tm_signed = [(b"doc %d" % i, sig) for i, sig in enumerate(tm_sigs) if sig is not None]
+    assert tm_signed
+
+    before, caches = _module_state()
+    assert caches == []
+    for m, sig in signed:
+        assert ds_verify(pk, m, sig)
+    for token in tokens:
+        for _ in range(3):
+            assert ts_verify_token(ts_pk, token, rng)[0]
+    for doc, sig in tm_signed:
+        assert tm_verify(tm_key, doc, sig)
+    assert _module_state() == (before, [])

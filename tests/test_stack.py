@@ -162,26 +162,31 @@ def test_ts_roundtrip():
 
 
 def test_ts_rejects_uncertified_token():
+    """A token and a signature certified by one key fail under another key
+    of the same algorithm, however the checks under the two keys alternate."""
     rng = Random(10)
     pk, sk = ts_keygen(16, rng, hash_variant="toy-8", n_override=8)
     rogue_pk, rogue_sk = ts_keygen(16, rng, hash_variant="toy-8", n_override=8)
+    assert pk.ds_pk.algo == rogue_pk.ds_pk.algo
     token = ts_token_gen(rogue_sk, rng)
-    ok, _ = ts_verify_token(pk, token, rng)
-    assert not ok
     sig = None
     for _ in range(40):
         sig = ts_sign(b"doc", ts_token_gen(rogue_sk, rng), rng)
         if sig is not None:
             break
     assert sig is not None
-    assert ts_verify(rogue_pk, b"doc", sig)
-    assert not ts_verify(pk, b"doc", sig)  # chain certificate fails
+    for _ in range(2):
+        assert not ts_verify_token(pk, token, rng)[0]
+        assert ts_verify_token(rogue_pk, token, rng)[0]
+        assert ts_verify(rogue_pk, b"doc", sig)
+        assert not ts_verify(pk, b"doc", sig)  # chain certificate fails
 
 
 def test_ts_tampered_chain_sig_rejected():
     rng = Random(11)
     pk, sk = ts_keygen(16, rng, hash_variant="toy-8", n_override=8)
     token = ts_token_gen(sk, rng)
+    assert ts_verify_token(pk, token, rng)[0]  # the honest verdict is kept on the key
     token.chain_sig = bytes([token.chain_sig[0] ^ 1]) + token.chain_sig[1:]
     ok, _ = ts_verify_token(pk, token, rng)
     assert not ok
@@ -194,6 +199,20 @@ def test_ts_verify_token_accepts_and_preserves():
     for _ in range(10):
         ok, token = ts_verify_token(pk, token, rng)
         assert ok
+
+
+def test_ts_token_rechecks_verify_the_chain_once(monkeypatch):
+    import qtsl.stack as stack
+
+    rng = Random(16)
+    pk, sk = ts_keygen(16, rng, hash_variant="toy-8", n_override=8)
+    token = ts_token_gen(sk, rng)
+    calls = []
+    real = stack.ds_verify
+    monkeypatch.setattr(stack, "ds_verify", lambda *args: calls.append(args) or real(*args))
+    for _ in range(100):
+        assert ts_verify_token(pk, token, rng)[0]
+    assert len(calls) == 1
 
 
 def test_ts_revoke_consumes():
