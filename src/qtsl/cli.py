@@ -30,9 +30,9 @@ from random import Random
 
 from .encoding import (
     canonical_json,
-    decode_space,
-    decode_state,
-    decode_vector,
+    decode_spaces,
+    decode_states,
+    decode_vectors,
     encode_space,
     encode_state,
     encode_vector,
@@ -58,6 +58,7 @@ from .primitives import (
     hash_chain_secret_key,
     hash_chain_tree,
 )
+from .qsim import CosetState
 from .stack import (
     OtPublicKey,
     OtrPublicKey,
@@ -203,11 +204,6 @@ def _enc_oracle(pk: MembershipOracle) -> dict:
     return {"space": encode_space(_hidden_space(pk)), "key_id": pk.key_id.hex()}
 
 
-def _dec_oracle(payload: dict) -> MembershipOracle:
-    space = decode_space(_dict(payload, "space"))
-    return MembershipOracle(space, _hex(payload, "key_id"))
-
-
 def _enc_ot_public(pub: OtPublicKey) -> dict:
     return {
         "s": pub.s.hex(),
@@ -219,12 +215,12 @@ def _dec_ot_public(payload: dict) -> OtPublicKey:
     comps = _list(payload, "components")
     if not comps:
         raise DataError("public key needs at least one component")
-    oracles = []
     for c in comps:
         if not isinstance(c, dict):
             raise DataError("component must be an object")
-        oracles.append(_dec_oracle(c))
-    return OtPublicKey(_hex(payload, "s"), OtrPublicKey(tuple(oracles)))
+    spaces = decode_spaces([_dict(c, "space") for c in comps])
+    oracles = tuple(MembershipOracle(sp, _hex(c, "key_id")) for sp, c in zip(spaces, comps))
+    return OtPublicKey(_hex(payload, "s"), OtrPublicKey(oracles))
 
 
 def encode_public_key(pk: TsPublicKey) -> bytes:
@@ -302,13 +298,11 @@ def _enc_ot1_token(tok: Ot1Token) -> dict:
     }
 
 
-def _dec_ot1_token(payload: dict) -> Ot1Token:
-    if not isinstance(payload, dict):
-        raise DataError("token component must be an object")
+def _dec_ot1_token(payload: dict, state: CosetState) -> Ot1Token:
     lifecycle = _need(payload, "lifecycle", str)
     if lifecycle not in ("fresh", "spent"):
         raise DataError(f"bad lifecycle {lifecycle!r}")
-    return Ot1Token(decode_state(_dict(payload, "state")), _hex(payload, "key_id"), lifecycle)
+    return Ot1Token(state, _hex(payload, "key_id"), lifecycle)
 
 
 def _token_payload(token: TsToken) -> dict:
@@ -321,9 +315,16 @@ def _token_payload(token: TsToken) -> dict:
 
 def _token_from_payload(payload: dict) -> TsToken:
     ot_public = _dec_ot_public(_dict(payload, "ot_public"))
-    toks = [_dec_ot1_token(t) for t in _list(payload, "tokens")]
-    for pk, tok in zip(ot_public.otr.components, toks):
-        if tok.state.ambient_n != _hidden_space(pk).ambient_n:
+    comps = [_hidden_space(pk) for pk in ot_public.otr.components]
+    objs = _list(payload, "tokens")
+    for t in objs:
+        if not isinstance(t, dict):
+            raise DataError("token component must be an object")
+    # a fresh token's state spaces are its public components' spaces
+    states = decode_states([_dict(t, "state") for t in objs], comps)
+    toks = [_dec_ot1_token(t, state) for t, state in zip(objs, states)]
+    for space, tok in zip(comps, toks):
+        if tok.state.ambient_n != space.ambient_n:
             raise DataError("token state length disagrees with its public component")
     inner = OtToken(ot_public.s, OtrToken(toks))
     return TsToken(ot_public, _hex(payload, "chain_sig"), inner)
@@ -338,11 +339,7 @@ def _sig_payload(sig: TsSignature) -> dict:
 
 
 def _sig_from_payload(payload: dict) -> TsSignature:
-    vecs = []
-    for s in _list(payload, "sigs"):
-        if not isinstance(s, str):
-            raise DataError("signature vector must be a string")
-        vecs.append(decode_vector(s))
+    vecs = decode_vectors(_list(payload, "sigs"))
     return TsSignature(
         _dec_ot_public(_dict(payload, "ot_public")),
         _hex(payload, "chain_sig"),
@@ -605,7 +602,7 @@ def _cmd_check_verify(args) -> int:
 def _cmd_bank_sim(args) -> int:
     text = _read(args.scenario).decode("utf-8", errors="replace")
     ledger, stats = simulate_bank(
-        text, Random(args.seed), args.kappa, args.hash, args.n
+        text, Random(args.seed), _kappa(args.kappa), args.hash, args.n
     )
     for ev in ledger:
         line = canonical_json(
@@ -627,7 +624,7 @@ def _cmd_game(args) -> int:
             f"unknown game {args.name!r}; choose from {sorted(GAME_RUNNERS)}"
         )
     report = GAME_RUNNERS[args.name](
-        n=args.n, ell=args.l, trials=args.trials, seed=args.seed, kappa=args.kappa
+        n=args.n, ell=args.l, trials=args.trials, seed=args.seed, kappa=_kappa(args.kappa)
     )
     print(report.to_json().decode("utf-8"))
     if args.out:

@@ -182,7 +182,8 @@ class Subspace:
 
     The constructors check the invariants; code in this module that holds
     rows canonical by construction builds through ``_trusted`` instead.  The
-    value is immutable, so its dual is computed at most once (see ``dual``).
+    value is immutable, so its dual and its row text (``_text``) are
+    computed at most once.
     """
 
     ambient_n: int
@@ -233,6 +234,15 @@ class Subspace:
         return _trusted(n, _rref(out))
 
     @property
+    def _text(self) -> tuple[str, ...]:
+        """The rows as a container spells them (``_row_text``), formatted at
+        most once; a decoded space holds the text it was checked against."""
+        text = self.__dict__.get("_spelling")
+        if text is None:  # no cached_property: on 3.11 its lock costs more than this
+            text = self.__dict__["_spelling"] = _row_text(self.ambient_n, self.rows)
+        return text
+
+    @property
     def dim(self) -> int:
         return len(self.rows)
 
@@ -276,6 +286,24 @@ def _trusted(ambient_n: int, rows: Sequence[int]) -> Subspace:
     space = object.__new__(Subspace)
     space.__dict__.update(ambient_n=ambient_n, rows=tuple(rows))
     return space
+
+
+def _from_text(ambient_n: int, rows: Iterable[int], text: tuple[str, ...]) -> Subspace:
+    """Checked construction (as ``from_rows``) from rows parsed out of
+    ``text``, which must be their ``_row_text`` spelling; the text is kept."""
+    space = Subspace.from_rows(ambient_n, rows)
+    space.__dict__["_spelling"] = text
+    return space
+
+
+def _row_text(n: int, values: Iterable[int]) -> tuple[str, ...]:
+    """n-bit rows as a container spells them: '0'/'1' strings (coordinate 1
+    first) up to 64 coordinates, ``hex:<n>:<digits>`` beyond."""
+    if n <= 64:
+        fmt = f"0{n}b"
+        return tuple([format(v, fmt) for v in values])
+    width = (n + 3) // 4
+    return tuple([f"hex:{n}:{v:0{width}x}" for v in values])
 
 
 def canonicalize(vectors: Sequence[F2Vector], ambient_n: int | None = None) -> Subspace:

@@ -351,9 +351,9 @@ def ds_keygen(
         if not _HAVE_ED25519:
             raise RuntimeError("ed25519 backend not importable here")
         raw = rng.randbytes(32)
-        priv = Ed25519PrivateKey.from_private_bytes(raw)
-        pub = priv.public_key().public_bytes_raw()
-        return DsPublicKey("ed25519", pub), DsSecretKey("ed25519", raw)
+        sk = DsSecretKey("ed25519", raw)
+        sk._ed25519 = priv = Ed25519PrivateKey.from_private_bytes(raw)  # parsed once
+        return DsPublicKey("ed25519", priv.public_key().public_bytes_raw()), sk
     if algo == "hash-chain":
         return _hash_chain_keygen(rng, capacity_log2)
     raise ValueError(f"unknown signature algorithm {algo!r}")

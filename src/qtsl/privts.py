@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .encoding import canonical_json, decode_space, encode_space
+from .encoding import canonical_json, decode_spaces, encode_space
 from .f2lin import F2Vector, Subspace, member_or_dual, sample_subspace
 from .ot1 import KEY_ID_BYTES, Ot1Token, default_dimension, ot1_measure
 from .primitives import (
@@ -161,7 +161,7 @@ def decode_priv_ot_key(raw: bytes) -> OtPublicKey:
         raise DataError("not a private key blob")
     try:
         s = bytes.fromhex(obj["s"])
-        spaces = [decode_space(sp) for sp in obj["spaces"]]
+        spaces = decode_spaces(obj["spaces"])
         ids = [bytes.fromhex(i) for i in obj["ids"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError("bad private key fields") from exc

@@ -255,6 +255,53 @@ def test_token_rejects_bad_lifecycle(keypair):
         decode_token(json.dumps(obj).encode())
 
 
+def _spaces(token):
+    from qtsl.ot1 import _hidden_space
+
+    return [_hidden_space(c) for c in token.ot_public.otr.components]
+
+
+def test_decoded_token_states_share_their_public_spaces(keypair):
+    """A fresh token's states are its public components' spaces, decoded
+    once; a state that spells another component's space, and a spent
+    token's measured states, share nothing."""
+    sk = keypair[1]
+    blob = encode_token(ts_token_gen(sk, Random(23)))
+    back = decode_token(blob)
+    states = [t.state for t in back.ot_token.otr.tokens]
+    assert all(s.kind == "subspace" and s.space is c for s, c in zip(states, _spaces(back)))
+    obj = json.loads(blob)
+    tokens = obj["payload"]["tokens"]
+    tokens[0]["state"], tokens[1]["state"] = tokens[1]["state"], tokens[0]["state"]
+    swapped = decode_token(json.dumps(obj).encode())
+    first, second = (t.state.space for t in swapped.ot_token.otr.tokens[:2])
+    comps = _spaces(swapped)
+    assert first == comps[1] and first is not comps[1] and first is not comps[0]
+    assert second == comps[0] and second is not comps[0]
+    token = ts_token_gen(sk, Random(24))
+    ts_sign(DOC, token, Random(0))
+    spent = decode_token(encode_token(token))
+    assert all(t.state.kind != "subspace" for t in spent.ot_token.otr.tokens)
+
+
+@pytest.mark.parametrize("n", [8, 66])
+def test_decoded_public_key_encodes_like_one_built_from_its_rows(n):
+    """The row text a decoded key keeps is the text its rows format to."""
+    from qtsl.f2lin import Subspace
+    from qtsl.ot1 import MembershipOracle
+    from qtsl.stack import OtPublicKey, OtrPublicKey
+
+    _, sk = ts_keygen(16, Random(8), "toy-8", None, n)
+    back = decode_token(encode_token(ts_token_gen(sk, Random(25))))
+    pub = back.ot_public
+    oracles = [
+        MembershipOracle(Subspace.from_rows(n, space.rows), c.key_id)
+        for space, c in zip(_spaces(back), pub.otr.components)
+    ]
+    rebuilt = OtPublicKey(pub.s, OtrPublicKey(tuple(oracles)))
+    assert encode_ot_public(pub) == encode_ot_public(rebuilt)
+
+
 def test_signature_roundtrip(keypair):
     pk, sk = keypair
     sig = _probe_sign(sk, DOC)
@@ -771,6 +818,21 @@ def test_cli_bank_sim_bad_scenario(tmp_path):
     path = tmp_path / "scenario.txt"
     path.write_text("FROB alice\n")
     assert _qtsl("bank-sim", "--scenario", path) == 2
+
+
+@pytest.mark.parametrize("kappa", [0, 1 << 32])
+@pytest.mark.parametrize("command", ["game", "bank-sim"])
+def test_cli_game_and_bank_sim_reject_kappa_out_of_range(tmp_path, capsys, command, kappa):
+    # 2^32 overflowed the hash index's 4-byte kappa field with a traceback
+    path = tmp_path / "scenario.txt"
+    path.write_text(BANK_SCENARIO)
+    argv = {
+        "game": ("--name", "testability", "--trials", 2),
+        "bank-sim": ("--scenario", path, "--hash", "toy-8"),
+    }[command]
+    capsys.readouterr()
+    assert _qtsl(command, *argv, "--kappa", kappa) == 2
+    assert f"kappa {kappa} out of range" in capsys.readouterr().err
 
 
 def test_cli_game_report(tmp_path, capsys):

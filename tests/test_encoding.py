@@ -1,5 +1,6 @@
 """Unit tests for canonical JSON encodings of vectors, spaces and states."""
 
+import json
 from random import Random
 
 import pytest
@@ -44,6 +45,9 @@ def test_vector_roundtrip_long():
     enc = encode_vector(v)
     assert enc.startswith("hex:80:")
     assert decode_vector(enc) == v
+    # beyond 64 coordinates the hex parse stays lenient
+    for loose in ("hex:70:0_1", "hex:70: 1 ", "hex:70:0x1", "hex:070:1"):
+        assert decode_vector(loose) == F2Vector(70, 1)
 
 
 @settings(max_examples=80)
@@ -54,7 +58,12 @@ def test_vector_roundtrip_property(n, data):
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "012", "10a", "hex:", "hex:8:zz", "hex:-4:0", 7, None, ["1"]]
+    "bad",
+    [
+        "", "012", "10a", "hex:", "hex:8:zz", "hex:-4:0", 7, None, ["1"],
+        # a vector of at most 64 coordinates has only its bit-string spelling
+        "hex:8:1", "hex:64:0", "hex:1:1", "hex:064:1",
+    ],
 )
 def test_vector_decode_rejects(bad):
     with pytest.raises(DataError):
@@ -75,6 +84,14 @@ def test_space_decode_rejects_non_canonical_rows():
     with pytest.raises(DataError):
         decode_space({"n": 4, "rows": ["0101", "0110"]})
     assert decode_space(ok).dim == 2
+
+
+def test_space_decode_rejects_hex_rows_up_to_64():
+    assert decode_space({"n": 8, "rows": ["00000001"]}).rows == (1,)
+    for n, row in ((8, "hex:8:01"), (8, "hex:8:1"), (64, "hex:64:1"), (4, "hex:4:1")):
+        with pytest.raises(DataError):
+            decode_space({"n": n, "rows": [row]})
+    assert decode_space({"n": 66, "rows": ["hex:66:1"]}).rows == (1,)
 
 
 def test_space_decode_rejects_dependent_rows():
@@ -177,3 +194,213 @@ def test_vector_decode_accepts_exactly_bit_strings(text):
     else:
         with pytest.raises(DataError):
             decode_vector(text)
+
+
+# ---------------------------------------------------------------------------
+# the list decoders against the one-space-at-a-time decoder they replaced
+# ---------------------------------------------------------------------------
+
+
+def _decode_bits_reference(text):
+    if not isinstance(text, str):
+        raise DataError("vector field must be a string")
+    if text.startswith("hex:"):
+        try:
+            _, n_str, hex_str = text.split(":", 2)
+            n = int(n_str)
+            value = int(hex_str, 16) if hex_str else 0
+        except ValueError as exc:
+            raise DataError(f"bad hex vector {text!r}") from exc
+        if n <= 0 or value < 0 or value.bit_length() > n:
+            raise DataError(f"bad hex vector {text!r}")
+        return n, value
+    if not text or text.strip("01"):
+        raise DataError(f"bad bit string {text!r}")
+    return len(text), int(text, 2)
+
+
+def _decode_space_reference(obj):
+    """decode_space as it was before the list decoder: each row parsed on
+    its own, and ``hex:`` rows accepted at any length."""
+    from qtsl.f2lin import Subspace
+
+    if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
+        raise DataError("subspace field must be {n, rows}")
+    n = obj["n"]
+    if type(n) is not int or n <= 0:
+        raise DataError(f"bad ambient {n!r}")
+    rows = obj["rows"]
+    if not isinstance(rows, list):
+        raise DataError("rows must be a list")
+    values = []
+    for text in rows:
+        length, value = _decode_bits_reference(text)
+        if length != n:
+            raise DataError("row length disagrees with ambient")
+        values.append(value)
+    try:
+        return Subspace.from_rows(n, values)
+    except ValueError as exc:
+        raise DataError("basis rows are not a canonical reduced basis") from exc
+
+
+def _verdict(decode, arg):
+    try:
+        return decode(arg)
+    except DataError:
+        return DataError
+
+
+def _bit_row(n, value):
+    return format(value, f"0{n}b") if n <= 64 else f"hex:{n}:{value:0{(n + 3) // 4}x}"
+
+
+@st.composite
+def _row_texts(draw, n):
+    """An encoded space's rows, or one of them spelled wrongly."""
+    from qtsl.f2lin import canonicalize
+
+    values = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=min(n, 5)))
+    rows = [_bit_row(n, r) for r in canonicalize([F2Vector(n, v) for v in values], n).rows]
+    if draw(st.booleans()):
+        return rows
+    bad = draw(
+        st.sampled_from(
+            ["int", "none", "hex", "empty", "zero", "arabic", "fullwidth", "short", "long", "space"]
+        )
+    )
+    i = draw(st.integers(0, len(rows)))
+    row = rows[i] if i < len(rows) else "0" * n
+    row = {
+        "int": 1,
+        "none": None,
+        "hex": f"hex:{n}:{int(row, 2) if n <= 64 else 1:x}",
+        "empty": "",
+        "zero": "0" * n,
+        "arabic": row[:-1] + "١",  # int(..., 2) reads these as digits
+        "fullwidth": row[:-1] + "１",
+        "short": row[:-1],
+        "long": row + "0",
+        "space": " " + row[1:],
+    }[bad]
+    return rows[:i] + [row] + rows[i + 1 :]
+
+
+@st.composite
+def _space_objs(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 64, 66, 70]))
+    obj = {"n": n, "rows": draw(_row_texts(n))}
+    twist = draw(st.sampled_from(["none"] * 6 + ["true", "list", "float", "str", "zero", "rows", "drop"]))
+    if twist == "true":
+        obj["n"] = True
+    elif twist == "list":
+        obj["n"] = [n]
+    elif twist == "float":
+        obj["n"] = float(n)
+    elif twist == "str":
+        obj["n"] = str(n)
+    elif twist == "zero":
+        obj["n"] = 0
+    elif twist == "rows":
+        obj["rows"] = "".join(map(str, obj["rows"][:1]))
+    elif twist == "drop":
+        del obj[draw(st.sampled_from(["n", "rows"]))]
+    return obj
+
+
+def _hex_spelled_short(obj):
+    """A space of at most 64 coordinates with a ``hex:`` row: the reference
+    accepted these, the list decoder does not."""
+    n = obj.get("n") if isinstance(obj, dict) else None
+    return (
+        type(n) is int
+        and 0 < n <= 64
+        and isinstance(obj.get("rows"), list)
+        and any(isinstance(t, str) and t.startswith("hex:") for t in obj["rows"])
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_space_objs(), max_size=6))
+def test_decode_spaces_matches_the_row_at_a_time_reference(objs):
+    from qtsl.encoding import decode_spaces
+    from qtsl.f2lin import _row_text
+
+    expected = [_verdict(_decode_space_reference, obj) for obj in objs]
+    if DataError in expected or any(map(_hex_spelled_short, objs)):
+        expected = DataError
+    got = _verdict(decode_spaces, objs)
+    assert got == expected
+    if got is not DataError:
+        for space in got:  # the kept text is the canonical spelling
+            assert encode_space(space)["rows"] == _row_text(space.ambient_n, space.rows)
+    for obj in objs:
+        assert _verdict(decode_space, obj) == (
+            DataError if _hex_spelled_short(obj) else _verdict(_decode_space_reference, obj)
+        )
+
+
+@st.composite
+def _state_objs(draw, space):
+    """A subspace state that spells ``space``, or nearly does."""
+    obj = {"kind": "subspace", "n": space.ambient_n, "space": dict(encode_space(space))}
+    obj["space"]["rows"] = list(obj["space"]["rows"])
+    twist = draw(
+        st.sampled_from(["none", "none", "true", "float", "rows-str", "rows-dict", "row", "outer-n", "other"])
+    )
+    sp = obj["space"]
+    if twist == "true":
+        sp["n"] = True  # a JSON true is no length
+    elif twist == "float":
+        sp["n"] = float(sp["n"])
+    elif twist == "rows-str":
+        sp["rows"] = "".join(sp["rows"])
+    elif twist == "rows-dict":
+        sp["rows"] = dict.fromkeys(sp["rows"])
+    elif twist == "row" and sp["rows"]:
+        sp["rows"][0] = sp["rows"][0][::-1]
+    elif twist == "outer-n":
+        obj["n"] = space.ambient_n + 1
+    elif twist == "other":
+        obj = {"kind": "basis", "n": space.ambient_n, "vector": "1" * space.ambient_n}
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decode_states_reuses_exactly_the_spaces_it_would_decode(data):
+    """Giving decode_states the public spaces changes no verdict and no
+    value; a state that spells its space gets that very object."""
+    from qtsl.encoding import decode_states
+
+    from qtsl.f2lin import canonicalize
+
+    n = data.draw(st.sampled_from([1, 2, 4, 6, 8, 70]))
+    vectors = st.lists(st.integers(0, (1 << n) - 1).map(lambda v: F2Vector(n, v)), max_size=4)
+    like = [canonicalize(data.draw(vectors), n) for _ in range(3)]
+    objs = [data.draw(_state_objs(space)) for space in like]
+    plain = _verdict(decode_states, objs)
+    shared = _verdict(lambda o: decode_states(o, like), objs)
+    assert shared == plain
+    if shared is not DataError:
+        for obj, space, state in zip(objs, like, shared):
+            spelled = obj["kind"] == "subspace" and obj["space"] == dict(encode_space(space), rows=list(space._text))
+            assert (state.space is space) == (spelled and type(obj["space"]["n"]) is int)
+
+
+def test_encode_space_rows_cannot_be_changed_through_an_encoding():
+    space = sample_subspace(6, Random(4))
+    first = canonical_json(encode_space(space))
+    rows = encode_space(space)["rows"]
+    for change in (lambda r: r.__setitem__(0, "111111"), lambda r: r.append("000001")):
+        try:
+            change(rows)
+        except (TypeError, AttributeError):  # an immutable sequence refuses
+            pass
+    assert canonical_json(encode_space(space)) == first
+    # nor through the payload a space was decoded from
+    obj = json.loads(first)
+    back = decode_space(obj)
+    obj["rows"][0] = "000000"
+    obj["rows"].append("000001")
+    assert canonical_json(encode_space(back)) == first

@@ -116,6 +116,28 @@ def test_verify_is_total_on_garbage(algo):
         assert ds_verify(pk, b"msg", junk) is False
 
 
+def test_ed25519_keygen_parses_its_key_once(monkeypatch):
+    from qtsl import primitives
+    from qtsl.primitives import DsSecretKey
+
+    real = primitives.Ed25519PrivateKey
+    parsed = []
+
+    class Counted:
+        @staticmethod
+        def from_private_bytes(raw):
+            parsed.append(raw)
+            return real.from_private_bytes(raw)
+
+    monkeypatch.setattr(primitives, "Ed25519PrivateKey", Counted)
+    pk, sk = ds_keygen(32, Random(6), algo="ed25519")
+    sigs = [ds_sign(sk, b"doc"), ds_sign(sk, b"other")]
+    assert parsed == [sk.material]
+    # the kept key signs exactly as one parsed from the stored bytes
+    assert sigs == [ds_sign(DsSecretKey("ed25519", sk.material), m) for m in (b"doc", b"other")]
+    assert ds_verify(pk, b"doc", sigs[0])
+
+
 def test_verify_cache_keeps_algos_apart():
     pk1, sk1 = ds_keygen(32, Random(8), algo="ed25519")
     pk2, sk2 = ds_keygen(32, Random(8), algo="hash-chain", capacity_log2=1)
