@@ -25,12 +25,8 @@ from .f2lin import (
 )
 from .qsim import (
     CosetState,
-    DenseState,
     UnsupportedStateError,
     basis_state,
-    dense_hadamard_all,
-    dense_measure,
-    dense_project,
     hadamard_all,
     measure_standard,
     phase_state,
@@ -38,7 +34,6 @@ from .qsim import (
     project_subspace,
     projection_accept_probability,
     subspace_state,
-    to_dense,
 )
 from .ot1 import (
     MembershipOracle,

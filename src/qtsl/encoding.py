@@ -60,24 +60,35 @@ def _bit_values(texts: list) -> list[int]:
 
 
 def _decode_hex(text: str) -> tuple[int, int]:
-    """(length, value) of a ``hex:<n>:<digits>`` vector; n > 64, since
-    shorter vectors are written only as bit strings."""
+    """(length, value) of a ``hex:<n>:<digits>`` vector, in the one spelling
+    ``_row_text`` writes: n > 64 in plain decimal, then exactly
+    ``(n + 3) // 4`` digits from 0-9a-f.  ``int`` alone would also take
+    signs, underscores, spaces, a ``0x`` prefix and other scripts' digits."""
     try:
-        _, n_str, hex_str = text.split(":", 2)
+        _, n_str, hex_str = text.split(":")
         n = int(n_str)
-        value = int(hex_str, 16) if hex_str else 0
     except ValueError as exc:
         raise DataError(f"bad hex vector {text!r}") from exc
-    if n <= 64 or value < 0 or value.bit_length() > n:
+    if (
+        n <= 64
+        or n_str != str(n)
+        or len(hex_str) != (n + 3) // 4
+        or hex_str.strip("0123456789abcdef")
+    ):
+        raise DataError(f"bad hex vector {text!r}")
+    value = int(hex_str, 16)
+    if value.bit_length() > n:
         raise DataError(f"bad hex vector {text!r}")
     return n, value
 
 
 def decode_vectors(texts: list) -> list[F2Vector]:
-    """Encoded vectors: bit strings, checked in one pass, and ``hex:`` texts
-    of more than 64 coordinates, parsed one at a time."""
+    """Encoded vectors: bit strings of at most 64 coordinates, checked in one
+    pass, and ``hex:`` texts of more than 64, parsed one at a time."""
     bits = [t for t in texts if type(t) is not str or not t.startswith("hex:")]
     values = iter(_bit_values(bits))
+    if any(len(t) > 64 for t in bits):
+        raise DataError("a vector of more than 64 coordinates is written in hex")
     return [
         F2Vector(*_decode_hex(t)) if t.startswith("hex:") else F2Vector(len(t), next(values))
         for t in texts

@@ -111,8 +111,6 @@ class Capability:
 
     tokens: int = 1
     oracle_access: bool = True
-    query_budget: int | None = None
-    unbounded_desk: bool = False
 
 
 @dataclass(frozen=True)
@@ -221,9 +219,9 @@ def _run_trials(
 class SchemeHandle:
     """Uniform access to one scheme layer for the games.
 
-    ``sign`` may return None (failed signing); ``verify_token`` is None for
-    layers without a token test.  ``withhold`` maps a public key to a view
-    whose oracle queries refuse (only meaningful for the oracle scheme).
+    ``sign`` may return None (failed signing); ``sig_bytes`` is the byte form
+    that distinct-pair scoring compares.  ``withhold`` maps a public key to a
+    view whose oracle queries refuse (only meaningful for the oracle scheme).
     """
 
     name: str
@@ -233,9 +231,9 @@ class SchemeHandle:
     sign: Callable[[Any, Any, Random], Any]
     verify: Callable[[Any, Any, Any], bool]
     random_doc: Callable[[Random], Any]
-    verify_token: Callable[[Any, Any, Random], tuple[bool, Any]] | None = None
+    verify_token: Callable[[Any, Any, Random], tuple[bool, Any]]
+    sig_bytes: Callable[[Any], bytes]
     withhold: Callable[[Any], Any] | None = None
-    sig_bytes: Callable[[Any], bytes] | None = None
 
 
 def ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
@@ -250,8 +248,8 @@ def ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
         and _ot1.ot1_verify(pk, doc, sig.sig),
         random_doc=lambda rng: rng.getrandbits(1),
         verify_token=lambda pk, token, rng: _ot1.ot1_verify_token(pk, token, rng),
-        withhold=withheld_twin,
         sig_bytes=lambda sig: f"{sig.alpha}:{sig.sig}".encode(),
+        withhold=withheld_twin,
     )
 
 
@@ -471,8 +469,6 @@ def game_testability(
     """k consecutive non-destructive token checks, then sign-and-verify.
 
     Success means: every check accepted, and the signature verified."""
-    if handle.verify_token is None:
-        raise ValueError(f"{handle.name} has no token test")
 
     def trial(rng: Random) -> bool:
         pk, sk = handle.keygen(rng)
@@ -565,7 +561,6 @@ def game_unpredictability(
 ) -> GameReport:
     """Two fresh tokens sign the same random document; success is the two
     signatures colliding byte-for-byte."""
-    enc = handle.sig_bytes or (lambda s: repr(s).encode())
 
     def trial(rng: Random) -> bool:
         pk, sk = handle.keygen(rng)
@@ -576,7 +571,7 @@ def game_unpredictability(
         s2 = handle.sign(doc, t2, rng)
         if s1 is None or s2 is None:
             raise TrialVoid
-        return enc(s1) == enc(s2)
+        return handle.sig_bytes(s1) == handle.sig_bytes(s2)
 
     return _run_trials(
         f"unpredictability[{handle.name}]",
@@ -639,9 +634,7 @@ def collision_forgery_strategy(max_evals: int = 512) -> AdversaryStrategy:
     """Find two documents with one digest, sign one, replay for the other.
 
     Works against any hash-and-sign layer whose digest is short enough to
-    collide within the evaluation budget; the number of hash evaluations
-    spent is recorded on the strategy object after each run."""
-    state = {"evals": None}
+    collide within the evaluation budget."""
 
     def program(ctx: TrialContext):
         s = getattr(ctx.pk_view, "s", None)
@@ -654,11 +647,9 @@ def collision_forgery_strategy(max_evals: int = 512) -> AdversaryStrategy:
             h = hash_eval(s, doc)
             if h in seen and seen[h] != doc:
                 collision = (seen[h], doc)
-                state["evals"] = i + 1
                 break
             seen[h] = doc
         if collision is None:
-            state["evals"] = max_evals
             return None
         d1, d2 = collision
         sig = ctx.handle.sign(d1, ctx.tokens[0], ctx.rng)
@@ -666,9 +657,7 @@ def collision_forgery_strategy(max_evals: int = 512) -> AdversaryStrategy:
             raise TrialVoid
         return [(d1, sig), (d2, sig)]
 
-    strat = AdversaryStrategy("collision-forgery", Capability(tokens=1), program)
-    object.__setattr__(strat, "eval_counter", state)
-    return strat
+    return AdversaryStrategy("collision-forgery", Capability(tokens=1), program)
 
 
 def spent_token_strategy() -> AdversaryStrategy:
@@ -734,7 +723,7 @@ def enumerate_consistent_strategy() -> AdversaryStrategy:
 
     return AdversaryStrategy(
         "enumerate-consistent",
-        Capability(tokens=1, oracle_access=False, unbounded_desk=True),
+        Capability(tokens=1, oracle_access=False),
         program,
     )
 

@@ -19,6 +19,7 @@ from .qsim import (
     CosetState,
     hadamard_all,
     measure_standard,
+    prepare_subspace_state,
     project_subspace,
 )
 
@@ -153,10 +154,9 @@ def ot1_keygen(
 
 
 def ot1_token_gen(sk: Ot1SecretKey) -> Ot1Token:
-    """A fresh token for any one-bit key carrying ``space`` and ``key_id``
-    (the private key type mints through here too)."""
-    from .qsim import prepare_subspace_state
-
+    """A fresh token for a one-bit secret key, public or private (both
+    schemes hold an ``Ot1SecretKey``): the uniform superposition over its
+    subspace."""
     return Ot1Token(prepare_subspace_state(sk.space), sk.key_id)
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from random import Random
 
 from .encoding import canonical_json, decode_spaces, encode_space
-from .f2lin import F2Vector, Subspace, member_or_dual, sample_subspace
-from .ot1 import KEY_ID_BYTES, Ot1Token, default_dimension, ot1_measure
+from .f2lin import F2Vector, member_or_dual
+from .ot1 import Ot1SecretKey, Ot1Token, ot1_keygen, ot1_measure
 from .primitives import (
     DataError,
     decrypt,
@@ -42,7 +42,6 @@ from .stack import (
 )
 
 __all__ = [
-    "PrivOt1Key",
     "PRIVATE_ONE_BIT",
     "priv_ot1_keygen",
     "priv_ot1_verify",
@@ -67,30 +66,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrivOt1Key:
-    """One-bit key for private verification: the subspace in the clear."""
-
-    space: Subspace
-    key_id: bytes
-
-    def __repr__(self) -> str:
-        return f"PrivOt1Key(n={self.space.ambient_n}, key_id={self.key_id.hex()[:8]}...)"
-
-
 def priv_ot1_keygen(
     kappa: int, rng: Random, n_override: int | None = None
-) -> tuple[PrivOt1Key, PrivOt1Key]:
-    """Returns (verification key, signing key) — the same value twice, since
-    private verification reads the subspace directly."""
-    n = default_dimension(kappa) if n_override is None else n_override
-    if n < 2 or n % 2:
-        raise ValueError(f"token length must be even and >= 2, got {n}")
-    key = PrivOt1Key(sample_subspace(n, rng), rng.randbytes(KEY_ID_BYTES))
+) -> tuple[Ot1SecretKey, Ot1SecretKey]:
+    """Returns (verification key, signing key) — the same secret key twice,
+    since private verification reads the subspace directly."""
+    _, key = ot1_keygen(kappa, rng, n_override)
     return key, key
 
 
-def priv_ot1_verify(key: PrivOt1Key, alpha: int, sig: F2Vector) -> bool:
+def priv_ot1_verify(key: Ot1SecretKey, alpha: int, sig: F2Vector) -> bool:
     """Direct membership test against the key; zero and vectors of the wrong
     length never verify."""
     if sig.is_zero() or sig.n != key.space.ambient_n:
@@ -99,14 +84,14 @@ def priv_ot1_verify(key: PrivOt1Key, alpha: int, sig: F2Vector) -> bool:
 
 
 def priv_ot1_verify_token(
-    key: PrivOt1Key, token: Ot1Token, rng: Random
+    key: Ot1SecretKey, token: Ot1Token, rng: Random
 ) -> tuple[bool, Ot1Token]:
     accepted, post = project_subspace(token.state, key.space, rng)
     token.state = post
     return accepted, token
 
 
-def priv_ot1_revoke(key: PrivOt1Key, token: Ot1Token, rng: Random) -> bool:
+def priv_ot1_revoke(key: Ot1SecretKey, token: Ot1Token, rng: Random) -> bool:
     alpha = rng.getrandbits(1)
     outcome = ot1_measure(alpha, token, rng)
     return outcome is not None and priv_ot1_verify(key, alpha, outcome)
@@ -167,7 +152,7 @@ def decode_priv_ot_key(raw: bytes) -> OtPublicKey:
         raise DataError("bad private key fields") from exc
     if len(spaces) != len(ids) or not spaces:
         raise DataError("bad private key component count")
-    comps = tuple(PrivOt1Key(sp, kid) for sp, kid in zip(spaces, ids))
+    comps = tuple(Ot1SecretKey(sp, kid) for sp, kid in zip(spaces, ids))
     return OtPublicKey(s, OtrPublicKey(comps, PRIVATE_ONE_BIT))
 
 
@@ -228,56 +213,37 @@ def tm_sign(doc: bytes, token: TmToken, rng: Random) -> TmSignature | None:
     return TmSignature(token.key_blob, token.tag, inner)
 
 
-def _open_key_blob(
-    key: TmKey, blob: bytes, tag: bytes, trace: list | None
-) -> OtPublicKey | None:
+def _open_key_blob(key: TmKey, blob: bytes, tag: bytes) -> OtPublicKey | None:
     """Tag check strictly before any decryption; None means reject.
 
     Opening is deterministic in (key, blob, tag), so the last blob opened is
     kept on the key: a holder re-checking one credential would otherwise
-    redo the same MAC + decrypt + parse each time.  Instrumented calls skip
-    it so the recorded order stays honest.
+    redo the same MAC + decrypt + parse each time.
     """
     asked = (blob, tag)
     last = key.__dict__.get("_opened")
-    if trace is None and last is not None and last[0] == asked:
+    if last is not None and last[0] == asked:
         return last[1]
-    ok = mac_verify(key.mac_key, blob, tag)
-    if trace is not None:
-        trace.append(("mac", ok))
-    inner_key: OtPublicKey | None
-    if not ok:
-        inner_key = None
-    else:
+    inner_key: OtPublicKey | None = None
+    if mac_verify(key.mac_key, blob, tag):
         try:
             inner_key = decode_priv_ot_key(decrypt(key.enc_key, blob))
         except DataError:
-            inner_key = None
-        if trace is not None:
-            trace.append(("decrypt", inner_key is not None))
+            pass
     object.__setattr__(key, "_opened", (asked, inner_key))
     return inner_key
 
 
-def tm_verify(key: TmKey, doc: bytes, sig: TmSignature, trace: list | None = None) -> bool:
-    inner_key = _open_key_blob(key, sig.key_blob, sig.tag, trace)
-    if inner_key is None:
-        return False
-    ok = priv_ot_verify(inner_key, doc, sig.ot_sig)
-    if trace is not None:
-        trace.append(("inner", ok))
-    return ok
+def tm_verify(key: TmKey, doc: bytes, sig: TmSignature) -> bool:
+    inner_key = _open_key_blob(key, sig.key_blob, sig.tag)
+    return inner_key is not None and priv_ot_verify(inner_key, doc, sig.ot_sig)
 
 
-def tm_verify_token(
-    key: TmKey, token: TmToken, rng: Random, trace: list | None = None
-) -> tuple[bool, TmToken]:
-    inner_key = _open_key_blob(key, token.key_blob, token.tag, trace)
+def tm_verify_token(key: TmKey, token: TmToken, rng: Random) -> tuple[bool, TmToken]:
+    inner_key = _open_key_blob(key, token.key_blob, token.tag)
     if inner_key is None:
         return False, token
     ok, _ = priv_ot_verify_token(inner_key, token.ot_token, rng)
-    if trace is not None:
-        trace.append(("inner", ok))
     return ok, token
 
 

@@ -411,14 +411,14 @@ def verify_prime_k(
     verify: Callable[[Any, Any, Any], bool],
     pk: Any,
     pairs: list,
-    sig_encoding: Callable[[Any], bytes] | None = None,
+    sig_encoding: Callable[[Any], bytes],
 ) -> bool:
     """All pairs verify and the (document, signature) pairs are distinct.
 
-    Documents compare as bytes when they are bytes and by ``repr`` otherwise
-    (the bit-string and one-bit layers sign str and int documents)."""
-    enc = sig_encoding or (lambda sig: repr(sig).encode())
-    seen = {(_doc_bytes(doc), enc(sig)) for doc, sig in pairs}
+    Signatures compare by ``sig_encoding``.  Documents compare as bytes when
+    they are bytes and by ``repr`` otherwise (the bit-string and one-bit
+    layers sign str and int documents)."""
+    seen = {(_doc_bytes(doc), sig_encoding(sig)) for doc, sig in pairs}
     if len(seen) != len(pairs):
         return False
     return all(verify(pk, doc, sig) for doc, sig in pairs)

@@ -26,18 +26,17 @@ from collections import Counter, defaultdict
 from random import Random
 
 import numpy as np
+from dense import DenseState, _fwht, _subspace_amplitudes, to_dense
 
 from qtsl.f2lin import F2Vector, Subspace, dual, member, sample_related, sample_subspace
 from qtsl.games import derive_rng
 from qtsl.qsim import (
     CosetState,
-    DenseState,
     hadamard_all,
     measure_standard,
     project_subspace,
     projection_accept_probability,
     subspace_state,
-    to_dense,
 )
 
 _PRUNE = 1e-12
@@ -143,8 +142,6 @@ def _exact_dense(
     ops: list[str], spaces: dict[str, Subspace], coder: RecordCoder
 ) -> dict[tuple, float]:
     """Same walk with full 2^n statevectors as ground truth."""
-    from qtsl.qsim import _fwht, _subspace_amplitudes  # exact-arithmetic internals
-
     a0 = to_dense(subspace_state(spaces["A"]))
     dist: dict[tuple, float] = defaultdict(float)
     branches: list[tuple[float, DenseState, tuple]] = [(1.0, a0, ())]

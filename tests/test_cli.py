@@ -313,9 +313,8 @@ def test_signature_roundtrip(keypair):
 
 
 def test_signature_vector_length_is_not_allocated(keypair):
-    """A hex vector's declared length comes from the input; decoding one
-    must not build a 2^n integer to range-check it, and the certified
-    signature carrying it is a plain reject."""
+    """A hex vector's declared length comes from the input; rejecting one
+    whose digits do not fill that length must not build a 2^n integer."""
     import tracemalloc
 
     pk, sk = keypair
@@ -324,13 +323,12 @@ def test_signature_vector_length_is_not_allocated(keypair):
     huge = _twisted(blob, sigs=["hex:134217728:0"] + sigs[1:])
     tracemalloc.start()
     try:
-        sig = decode_signature(huge)
+        with pytest.raises(DataError):
+            decode_signature(huge)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert sig.ot_sig.sigs[0].n == 134217728
-    assert ts_verify(pk, DOC, sig) is False
 
 
 def test_check_roundtrip(keypair):
@@ -894,12 +892,18 @@ def test_cli_verify_wrong_length_vectors_rejects(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_numpy():
-    """numpy serves only the dense validation model; the CLI never needs it."""
+    """numpy serves only the dense model in the tests; neither the package
+    nor the CLI loads it, and a selftest runs where it cannot be imported."""
     import subprocess
     import sys
 
-    code = "import sys, qtsl.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
-    )
-    assert out.stdout.strip() == "False"
+    blocked = "import sys; sys.modules['numpy'] = None; import qtsl; "
+    for code, want in (
+        ("import sys, qtsl.cli; print('numpy' in sys.modules)", "False"),
+        ("import sys, qtsl; print('numpy' in sys.modules)", "False"),
+        (blocked + "from qtsl.cli import main; print(main(['selftest']))", "selftest: ok\n0"),
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.strip().endswith(want), (code, out.stdout)

@@ -45,9 +45,16 @@ def test_vector_roundtrip_long():
     enc = encode_vector(v)
     assert enc.startswith("hex:80:")
     assert decode_vector(enc) == v
-    # beyond 64 coordinates the hex parse stays lenient
-    for loose in ("hex:70:0_1", "hex:70: 1 ", "hex:70:0x1", "hex:070:1"):
-        assert decode_vector(loose) == F2Vector(70, 1)
+    # beyond 64 coordinates a vector has one spelling: hex:, n in plain
+    # decimal, then exactly (n + 3) // 4 digits from 0-9a-f
+    assert decode_vector("hex:70:" + "0" * 17 + "1") == F2Vector(70, 1)
+    for loose in (
+        "hex:70:0_1", "hex:70: 1 ", "hex:70:0x1", "hex:070:1",
+        "hex:70:1", "hex:70:", "hex:70:" + "0" * 17 + "A", "hex:+70:" + "0" * 17 + "1",
+        "0" * 69 + "1",
+    ):
+        with pytest.raises(DataError):
+            decode_vector(loose)
 
 
 @settings(max_examples=80)
@@ -88,10 +95,13 @@ def test_space_decode_rejects_non_canonical_rows():
 
 def test_space_decode_rejects_hex_rows_up_to_64():
     assert decode_space({"n": 8, "rows": ["00000001"]}).rows == (1,)
-    for n, row in ((8, "hex:8:01"), (8, "hex:8:1"), (64, "hex:64:1"), (4, "hex:4:1")):
+    for n, row in (
+        (8, "hex:8:01"), (8, "hex:8:1"), (64, "hex:64:1"), (4, "hex:4:1"),
+        (66, "hex:66:1"), (66, "0" * 65 + "1"),  # beyond 64 only padded hex
+    ):
         with pytest.raises(DataError):
             decode_space({"n": n, "rows": [row]})
-    assert decode_space({"n": 66, "rows": ["hex:66:1"]}).rows == (1,)
+    assert decode_space({"n": 66, "rows": ["hex:66:" + "0" * 16 + "1"]}).rows == (1,)
 
 
 def test_space_decode_rejects_dependent_rows():
@@ -308,16 +318,23 @@ def _space_objs(draw):
     return obj
 
 
-def _hex_spelled_short(obj):
-    """A space of at most 64 coordinates with a ``hex:`` row: the reference
-    accepted these, the list decoder does not."""
+def _spelled_otherwise(obj):
+    """A space with a row the reference reads as n bits but that
+    ``_row_text`` spells differently: a ``hex:`` row of at most 64
+    coordinates, or beyond 64 a bit string or a ``hex:`` row that is not
+    padded, lowercase plain hex.  The reference accepted these, the list
+    decoder does not."""
     n = obj.get("n") if isinstance(obj, dict) else None
-    return (
-        type(n) is int
-        and 0 < n <= 64
-        and isinstance(obj.get("rows"), list)
-        and any(isinstance(t, str) and t.startswith("hex:") for t in obj["rows"])
-    )
+    if type(n) is not int or n <= 0 or not isinstance(obj.get("rows"), list):
+        return False
+    for text in obj["rows"]:
+        try:
+            length, value = _decode_bits_reference(text)
+        except DataError:
+            continue
+        if length == n and text != _bit_row(n, value):
+            return True
+    return False
 
 
 @settings(max_examples=400, deadline=None)
@@ -327,7 +344,7 @@ def test_decode_spaces_matches_the_row_at_a_time_reference(objs):
     from qtsl.f2lin import _row_text
 
     expected = [_verdict(_decode_space_reference, obj) for obj in objs]
-    if DataError in expected or any(map(_hex_spelled_short, objs)):
+    if DataError in expected or any(map(_spelled_otherwise, objs)):
         expected = DataError
     got = _verdict(decode_spaces, objs)
     assert got == expected
@@ -336,7 +353,7 @@ def test_decode_spaces_matches_the_row_at_a_time_reference(objs):
             assert encode_space(space)["rows"] == _row_text(space.ambient_n, space.rows)
     for obj in objs:
         assert _verdict(decode_space, obj) == (
-            DataError if _hex_spelled_short(obj) else _verdict(_decode_space_reference, obj)
+            DataError if _spelled_otherwise(obj) else _verdict(_decode_space_reference, obj)
         )
 
 

@@ -170,34 +170,57 @@ def test_tm_roundtrip():
     assert not tm_verify(key, b"move 9 units", sig)
 
 
-def test_tm_trace_tag_before_decrypt():
+def _tm_signature(key, rng):
+    """A signature on b"d" from the first fresh token that signs."""
+    sig = None
+    while sig is None:
+        sig = tm_sign(b"d", tm_token_gen(key, rng), rng)
+    return sig
+
+
+def test_tm_trace_tag_before_decrypt(record_tm_steps):
     key, rng = tm_setup(14)
-    sig = None
-    for _ in range(40):
-        sig = tm_sign(b"d", tm_token_gen(key, rng), rng)
-        if sig is not None:
-            break
-    assert tm_verify(key, b"d", sig)  # an untraced check keeps the opened blob
-    for _ in range(2):
-        trace = []
-        assert tm_verify(key, b"d", sig, trace=trace)
-        assert [name for name, _ in trace] == ["mac", "decrypt", "inner"]
-        assert trace[0] == ("mac", True)
+    sig = _tm_signature(key, rng)
+    steps = record_tm_steps()
+    assert tm_verify(key, b"d", sig)
+    assert steps == [("mac", True), ("decrypt", True), ("inner", True)]
 
 
-def test_tm_tampered_blob_fails_before_decrypt():
+def test_tm_tampered_blob_fails_before_decrypt(record_tm_steps):
     key, rng = tm_setup(15)
-    sig = None
-    for _ in range(40):
-        sig = tm_sign(b"d", tm_token_gen(key, rng), rng)
-        if sig is not None:
-            break
+    sig = _tm_signature(key, rng)
     from qtsl.privts import TmSignature
 
     bad = TmSignature(sig.key_blob[:-1] + bytes([sig.key_blob[-1] ^ 1]), sig.tag, sig.ot_sig)
-    trace = []
-    assert not tm_verify(key, b"d", bad, trace=trace)
-    assert trace == [("mac", False)]  # never reached the cipher
+    steps = record_tm_steps()
+    assert not tm_verify(key, b"d", bad)
+    assert steps == [("mac", False)]  # never reached the cipher
+
+
+def test_tm_opens_each_blob_once_and_never_decrypts_a_bad_tag(record_tm_steps):
+    """The last blob opened is kept on the key, so re-verifying decrypts
+    nothing; the kept blob answers only for its own (blob, tag) pair, and a
+    blob whose tag fails never reaches the cipher."""
+    import dataclasses
+
+    key, rng = tm_setup(21)
+    sig = _tm_signature(key, rng)
+    steps = record_tm_steps()
+    assert tm_verify(key, b"d", sig)
+    assert tm_verify(key, b"d", sig)
+    assert steps == [("mac", True), ("decrypt", True), ("inner", True), ("inner", True)]
+    for bad in (
+        dataclasses.replace(sig, tag=bytes([sig.tag[0] ^ 1]) + sig.tag[1:]),
+        dataclasses.replace(sig, key_blob=sig.key_blob[:-1] + bytes([sig.key_blob[-1] ^ 1])),
+    ):
+        steps.clear()
+        assert not tm_verify(key, b"d", bad)
+        assert not tm_verify(key, b"d", bad)
+        assert steps == [("mac", False)]
+    steps.clear()
+    assert tm_verify(key, b"d", sig)  # the good blob is opened again, once
+    assert tm_verify(key, b"d", sig)
+    assert [name for name, _ in steps] == ["mac", "decrypt", "inner", "inner"]
 
 
 def test_tm_wrong_longlived_key_rejects():
@@ -213,12 +236,12 @@ def test_tm_wrong_longlived_key_rejects():
         assert not tm_verify(key_b, b"d", sig)
 
 
-def test_tm_verify_token_and_revoke():
+def test_tm_verify_token_and_revoke(record_tm_steps):
     key, rng = tm_setup(18)
     token = tm_token_gen(key, rng)
-    trace = []
-    ok, token = tm_verify_token(key, token, rng, trace=trace)
-    assert ok and trace[0][0] == "mac"
+    steps = record_tm_steps()
+    ok, token = tm_verify_token(key, token, rng)
+    assert ok and steps == [("mac", True), ("decrypt", True), ("inner", True)]
     accepted = sum(tm_revoke(key, tm_token_gen(key, rng), rng) for _ in range(30))
     assert accepted >= 15  # toy-8 at n=8: success (15/16)^8 ~ 0.6
 

@@ -1,34 +1,37 @@
-"""Unit tests for the coset-tracked and dense simulators."""
+"""Unit tests for the coset model, and for the dense model the tests check
+it against."""
 
 import math
 from random import Random
 
 import numpy as np
 import pytest
+from dense import (
+    DENSE_MAX_N,
+    DenseState,
+    dense_hadamard_all,
+    dense_measure,
+    dense_project,
+    dense_project_two_step,
+    hadamard_matrix,
+    subspace_projector,
+    to_dense,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtsl.f2lin import DimensionError, F2Vector, Subspace, dual, member, sample_subspace
 from qtsl.qsim import (
-    DENSE_MAX_N,
     CosetState,
-    DenseState,
     UnsupportedStateError,
     basis_state,
-    dense_hadamard_all,
-    dense_measure,
-    dense_project,
-    dense_project_two_step,
     hadamard_all,
-    hadamard_matrix,
     measure_standard,
     phase_state,
     prepare_subspace_state,
     project_subspace,
     projection_accept_probability,
-    subspace_projector,
     subspace_state,
-    to_dense,
     unsupported_state,
 )
 
