@@ -23,10 +23,11 @@ from typing import Any, Callable
 from . import ot1 as _ot1
 from . import privts as _privts
 from . import stack as _stack
-from .encoding import canonical_json
+from .encoding import canonical_json, digest
 from .f2lin import (
     F2Vector,
     Subspace,
+    canonicalize,
     dual,
     enumerate_subspaces,
     intersection_dim,
@@ -172,31 +173,44 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def _run_trials(
-    name: str,
-    params: dict,
-    trial: Callable[[Random], bool],
-    trials: int,
-    seed: int,
-    analytic: float | None = None,
-    extra: dict | None = None,
-) -> GameReport:
-    successes = 0
-    done = 0
-    attempt = 0
-    voided = 0
+def _trial_loop(
+    label: str, trials: int, seed: int, trial: Callable[[Random], bool]
+) -> tuple[int, int]:
+    """Run attempt i on ``derive_rng(seed, label, i)`` until ``trials`` were
+    scored; return (successes, voided).
+
+    The runaway guard counts only the voids since the last scored trial: a
+    game whose usable draws are rare (two-faced at n = 4 keeps about 1 % of
+    them) still finishes, while a strategy that never scores is stopped."""
+    successes = voided = streak = done = attempt = 0
     while done < trials:
-        rng = derive_rng(seed, name, attempt)
+        rng = derive_rng(seed, label, attempt)
         attempt += 1
         try:
             if trial(rng):
                 successes += 1
         except TrialVoid:
             voided += 1
-            if voided > 50 * trials + 1000:
-                raise RuntimeError(f"{name}: voided trials dominate; check the strategy")
+            streak += 1
+            if streak > 50 * trials + 1000:
+                raise RuntimeError(f"{label}: voided trials dominate; check the strategy")
             continue
+        streak = 0
         done += 1
+    return successes, voided
+
+
+def _report(
+    name: str,
+    params: dict,
+    trials: int,
+    seed: int,
+    counts: tuple[int, int],
+    analytic: float | None = None,
+    extra: dict | None = None,
+) -> GameReport:
+    """The report of ``trials`` scored trials with (successes, voided) ``counts``."""
+    successes, voided = counts
     return GameReport(
         name=name,
         params=dict(params, trials=trials, seed=seed),
@@ -242,12 +256,12 @@ def ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
         params={"kappa": kappa, "n": n},
         keygen=lambda rng: _ot1.ot1_keygen(kappa, rng, n),
         token_gen=lambda sk, rng: _ot1.ot1_token_gen(sk),
-        sign=lambda doc, token, rng: _ot1.ot1_sign(doc, token, rng),
+        sign=_ot1.ot1_sign,
         verify=lambda pk, doc, sig: isinstance(sig, Ot1Signature)
         and sig.alpha == doc
         and _ot1.ot1_verify(pk, doc, sig.sig),
         random_doc=lambda rng: rng.getrandbits(1),
-        verify_token=lambda pk, token, rng: _ot1.ot1_verify_token(pk, token, rng),
+        verify_token=_ot1.ot1_verify_token,
         sig_bytes=lambda sig: f"{sig.alpha}:{sig.sig}".encode(),
         withhold=withheld_twin,
     )
@@ -259,12 +273,12 @@ def priv_ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
         params={"kappa": kappa, "n": n},
         keygen=lambda rng: _privts.priv_ot1_keygen(kappa, rng, n),
         token_gen=lambda sk, rng: _ot1.ot1_token_gen(sk),
-        sign=lambda doc, token, rng: _ot1.ot1_sign(doc, token, rng),
+        sign=_ot1.ot1_sign,
         verify=lambda key, doc, sig: isinstance(sig, Ot1Signature)
         and sig.alpha == doc
         and _privts.priv_ot1_verify(key, doc, sig.sig),
         random_doc=lambda rng: rng.getrandbits(1),
-        verify_token=lambda key, token, rng: _privts.priv_ot1_verify_token(key, token, rng),
+        verify_token=_privts.priv_ot1_verify_token,
         sig_bytes=lambda sig: f"{sig.alpha}:{sig.sig}".encode(),
     )
 
@@ -278,10 +292,10 @@ def otr_handle(
         params={"kappa": kappa, "r": r, "n": n},
         keygen=lambda rng: _stack.otr_keygen(kappa, r, rng, base, n),
         token_gen=lambda sk, rng: _stack.otr_token_gen(sk),
-        sign=lambda doc, token, rng: _stack.otr_sign(doc, token, rng),
-        verify=lambda pk, doc, sig: _stack.otr_verify(pk, doc, sig),
+        sign=_stack.otr_sign,
+        verify=_stack.otr_verify,
         random_doc=lambda rng: format(rng.getrandbits(r), f"0{r}b"),
-        verify_token=lambda pk, token, rng: _stack.otr_verify_token(pk, token, rng),
+        verify_token=_stack.otr_verify_token,
         sig_bytes=lambda sig: repr((sig.alpha, sig.sigs)).encode(),
     )
 
@@ -298,10 +312,10 @@ def ot_handle(
         params={"kappa": kappa, "hash": hash_variant, "n": n},
         keygen=lambda rng: _stack.ot_keygen(kappa, rng, hash_variant, base, n),
         token_gen=lambda sk, rng: _stack.ot_token_gen(sk),
-        sign=lambda doc, token, rng: _stack.ot_sign(doc, token, rng),
-        verify=lambda pk, doc, sig: _stack.ot_verify(pk, doc, sig),
+        sign=_stack.ot_sign,
+        verify=_stack.ot_verify,
         random_doc=lambda rng: _stack.random_document(kappa, rng),
-        verify_token=lambda pk, token, rng: _stack.ot_verify_token(pk, token, rng),
+        verify_token=_stack.ot_verify_token,
         sig_bytes=lambda sig: repr(sig.sigs).encode(),
     )
 
@@ -310,17 +324,16 @@ def ts_handle(
     kappa: int = 16,
     hash_variant: str = "toy-8",
     n: int | None = 8,
-    ds_algo: str | None = None,
 ) -> SchemeHandle:
     return SchemeHandle(
         name="ts",
         params={"kappa": kappa, "hash": hash_variant, "n": n},
-        keygen=lambda rng: _stack.ts_keygen(kappa, rng, hash_variant, ds_algo, n),
-        token_gen=lambda sk, rng: _stack.ts_token_gen(sk, rng),
-        sign=lambda doc, token, rng: _stack.ts_sign(doc, token, rng),
-        verify=lambda pk, doc, sig: _stack.ts_verify(pk, doc, sig),
+        keygen=lambda rng: _stack.ts_keygen(kappa, rng, hash_variant, n_override=n),
+        token_gen=_stack.ts_token_gen,
+        sign=_stack.ts_sign,
+        verify=_stack.ts_verify,
         random_doc=lambda rng: _stack.random_document(kappa, rng),
-        verify_token=lambda pk, token, rng: _stack.ts_verify_token(pk, token, rng),
+        verify_token=_stack.ts_verify_token,
         sig_bytes=lambda sig: _stack.encode_ot_public(sig.ot_public)
         + sig.chain_sig
         + repr(sig.ot_sig.sigs).encode(),
@@ -334,11 +347,11 @@ def tm_handle(
         name="tm",
         params={"kappa": kappa, "hash": hash_variant, "n": n},
         keygen=lambda rng: ((key := _privts.tm_keygen(kappa, rng, hash_variant, n)), key),
-        token_gen=lambda key, rng: _privts.tm_token_gen(key, rng),
-        sign=lambda doc, token, rng: _privts.tm_sign(doc, token, rng),
-        verify=lambda key, doc, sig: _privts.tm_verify(key, doc, sig),
+        token_gen=_privts.tm_token_gen,
+        sign=_privts.tm_sign,
+        verify=_privts.tm_verify,
         random_doc=lambda rng: _stack.random_document(kappa, rng),
-        verify_token=lambda key, token, rng: _privts.tm_verify_token(key, token, rng),
+        verify_token=_privts.tm_verify_token,
         sig_bytes=lambda sig: sig.key_blob + sig.tag + repr(sig.ot_sig.sigs).encode(),
     )
 
@@ -368,27 +381,39 @@ def _revoke_states(
     return True
 
 
-def _make_context(
-    handle: SchemeHandle, strategy: AdversaryStrategy, ell: int, rng: Random
-) -> tuple[TrialContext, Any, Any]:
+def _strategy_game(
+    game: str,
+    handle: SchemeHandle,
+    strategy: AdversaryStrategy,
+    ell: int,
+    trials: int,
+    seed: int,
+    analytic: float | None,
+    score: Callable[[Any, Any, Random], bool],
+    **params: Any,
+) -> GameReport:
+    """Per trial: keygen, mint ell tokens, run the strategy on its view of the
+    public key, and pass a non-None result to ``score(pk, out, rng)``."""
     if strategy.capability.tokens < ell:
         raise CapabilityViolation(
             f"{strategy.name} declares {strategy.capability.tokens} tokens, game hands {ell}"
         )
-    pk, sk = handle.keygen(rng)
-    tokens = [handle.token_gen(sk, rng) for _ in range(ell)]
-    view = pk
-    if not strategy.capability.oracle_access and handle.withhold is not None:
-        view = handle.withhold(pk)
-    ctx = TrialContext(handle, view, tokens, rng)
-    return ctx, pk, sk
 
+    def trial(rng: Random) -> bool:
+        pk, sk = handle.keygen(rng)
+        tokens = [handle.token_gen(sk, rng) for _ in range(ell)]
+        view = pk
+        if not strategy.capability.oracle_access and handle.withhold is not None:
+            view = handle.withhold(pk)
+        try:
+            out = strategy.program(TrialContext(handle, view, tokens, rng))
+        except OracleWithheldError as exc:
+            raise CapabilityViolation(str(exc)) from exc
+        return out is not None and score(pk, out, rng)
 
-def _run_program(strategy: AdversaryStrategy, ctx: TrialContext) -> Any:
-    try:
-        return strategy.program(ctx)
-    except OracleWithheldError as exc:
-        raise CapabilityViolation(str(exc)) from exc
+    name = f"{game}[{handle.name}/{strategy.name}]"
+    params = dict(handle.params, l=ell, **params, strategy=strategy.name)
+    return _report(name, params, trials, seed, _trial_loop(name, trials, seed, trial), analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -407,21 +432,10 @@ def game_unforgeability(
     """Mint ell tokens, run the strategy, score verify_{ell+1}: ell+1 pairs
     with pairwise-distinct documents that all verify."""
 
-    def trial(rng: Random) -> bool:
-        ctx, pk, _ = _make_context(handle, strategy, ell, rng)
-        pairs = _run_program(strategy, ctx)
-        if pairs is None or len(pairs) != ell + 1:
-            return False
-        return _stack.verify_k(handle.verify, pk, list(pairs))
+    def score(pk: Any, pairs: Any, rng: Random) -> bool:
+        return len(pairs) == ell + 1 and _stack.verify_k(handle.verify, pk, list(pairs))
 
-    return _run_trials(
-        f"unforgeability[{handle.name}/{strategy.name}]",
-        dict(handle.params, l=ell, strategy=strategy.name),
-        trial,
-        trials,
-        seed,
-        analytic,
-    )
+    return _strategy_game("unforgeability", handle, strategy, ell, trials, seed, analytic, score)
 
 
 def game_revocability(
@@ -432,30 +446,20 @@ def game_revocability(
     trials: int,
     seed: int,
     analytic: float | None = None,
-    distinct_docs: bool = True,
 ) -> GameReport:
     """Strategy returns (pairs, states); score verify_t on the pairs and a
     successful revocation of all ell − t + 1 returned registers."""
 
-    def trial(rng: Random) -> bool:
-        ctx, pk, _ = _make_context(handle, strategy, ell, rng)
-        out = _run_program(strategy, ctx)
-        if out is None:
-            return False
+    def score(pk: Any, out: Any, rng: Random) -> bool:
         pairs, states = out
         if len(pairs) != t or len(states) != ell - t + 1:
             return False
         if not _stack.verify_k(handle.verify, pk, list(pairs)):
             return False
-        return _revoke_states(handle, pk, list(states), rng, distinct_docs)
+        return _revoke_states(handle, pk, list(states), rng, distinct_docs=True)
 
-    return _run_trials(
-        f"revocability[{handle.name}/{strategy.name}]",
-        dict(handle.params, l=ell, t=t, strategy=strategy.name),
-        trial,
-        trials,
-        seed,
-        analytic,
+    return _strategy_game(
+        "revocability", handle, strategy, ell, trials, seed, analytic, score, t=t
     )
 
 
@@ -481,14 +485,9 @@ def game_testability(
         sig = handle.sign(doc, token, rng)
         return sig is not None and handle.verify(pk, doc, sig)
 
-    return _run_trials(
-        f"testability[{handle.name}]",
-        dict(handle.params, k=k),
-        trial,
-        trials,
-        seed,
-        analytic,
-    )
+    name = f"testability[{handle.name}]"
+    counts = _trial_loop(name, trials, seed, trial)
+    return _report(name, dict(handle.params, k=k), trials, seed, counts, analytic)
 
 
 def game_everlasting(
@@ -504,11 +503,7 @@ def game_everlasting(
     if strategy.capability.oracle_access:
         raise CapabilityViolation("everlasting game requires oracle_access=False")
 
-    def trial(rng: Random) -> bool:
-        ctx, pk, _ = _make_context(handle, strategy, ell, rng)
-        out = _run_program(strategy, ctx)
-        if out is None:
-            return False
+    def score(pk: Any, out: Any, rng: Random) -> bool:
         states, (doc, sig) = out
         if len(states) != ell:
             return False
@@ -516,14 +511,7 @@ def game_everlasting(
             return False
         return handle.verify(pk, doc, sig)
 
-    return _run_trials(
-        f"everlasting[{handle.name}/{strategy.name}]",
-        dict(handle.params, l=ell, strategy=strategy.name),
-        trial,
-        trials,
-        seed,
-        analytic,
-    )
+    return _strategy_game("everlasting", handle, strategy, ell, trials, seed, analytic, score)
 
 
 def game_super_security(
@@ -537,21 +525,12 @@ def game_super_security(
     """Like unforgeability but scored with pairwise-distinct (doc, sig)
     pairs instead of distinct documents."""
 
-    def trial(rng: Random) -> bool:
-        ctx, pk, _ = _make_context(handle, strategy, ell, rng)
-        pairs = _run_program(strategy, ctx)
-        if pairs is None or len(pairs) != ell + 1:
-            return False
-        return _stack.verify_prime_k(handle.verify, pk, list(pairs), handle.sig_bytes)
+    def score(pk: Any, pairs: Any, rng: Random) -> bool:
+        return len(pairs) == ell + 1 and _stack.verify_prime_k(
+            handle.verify, pk, list(pairs), handle.sig_bytes
+        )
 
-    return _run_trials(
-        f"super-security[{handle.name}/{strategy.name}]",
-        dict(handle.params, l=ell, strategy=strategy.name),
-        trial,
-        trials,
-        seed,
-        analytic,
-    )
+    return _strategy_game("super-security", handle, strategy, ell, trials, seed, analytic, score)
 
 
 def game_unpredictability(
@@ -573,19 +552,21 @@ def game_unpredictability(
             raise TrialVoid
         return handle.sig_bytes(s1) == handle.sig_bytes(s2)
 
-    return _run_trials(
-        f"unpredictability[{handle.name}]",
-        dict(handle.params),
-        trial,
-        trials,
-        seed,
-        analytic=0.0,
-    )
+    name = f"unpredictability[{handle.name}]"
+    return _report(name, handle.params, trials, seed, _trial_loop(name, trials, seed, trial), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # strategy library
 # ---------------------------------------------------------------------------
+
+
+def _sign_or_void(ctx: TrialContext, doc: Any, token: Any) -> Any:
+    """Sign a visible honest step; a failed signature voids the trial."""
+    sig = ctx.handle.sign(doc, token, ctx.rng)
+    if sig is None:
+        raise TrialVoid
+    return sig
 
 
 def honest_strategy(ell: int) -> AdversaryStrategy:
@@ -600,10 +581,7 @@ def honest_strategy(ell: int) -> AdversaryStrategy:
                 if doc not in docs:
                     docs.add(doc)
                     break
-            sig = ctx.handle.sign(doc, token, ctx.rng)
-            if sig is None:
-                raise TrialVoid
-            pairs.append((doc, sig))
+            pairs.append((doc, _sign_or_void(ctx, doc, token)))
         return pairs
 
     return AdversaryStrategy("honest", Capability(tokens=ell), program)
@@ -618,9 +596,7 @@ def naive_double_sign_strategy() -> AdversaryStrategy:
 
     def program(ctx: TrialContext):
         (token,) = ctx.tokens
-        sig0 = ctx.handle.sign(0, token, ctx.rng)
-        if sig0 is None:
-            raise TrialVoid
+        sig0 = _sign_or_void(ctx, 0, token)
         rotated = hadamard_all(token.state)
         outcome, post = measure_standard(rotated, ctx.rng)
         token.state = post
@@ -630,11 +606,11 @@ def naive_double_sign_strategy() -> AdversaryStrategy:
     return AdversaryStrategy("naive-double-sign", Capability(tokens=1), program)
 
 
-def collision_forgery_strategy(max_evals: int = 512) -> AdversaryStrategy:
+def collision_forgery_strategy() -> AdversaryStrategy:
     """Find two documents with one digest, sign one, replay for the other.
 
     Works against any hash-and-sign layer whose digest is short enough to
-    collide within the evaluation budget."""
+    collide within the budget of 512 hash evaluations."""
 
     def program(ctx: TrialContext):
         s = getattr(ctx.pk_view, "s", None)
@@ -642,7 +618,7 @@ def collision_forgery_strategy(max_evals: int = 512) -> AdversaryStrategy:
             s = ctx.tokens[0].ot_public.s
         seen: dict[str, bytes] = {}
         collision = None
-        for i in range(max_evals):
+        for i in range(512):
             doc = b"doc-%06d" % i
             h = hash_eval(s, doc)
             if h in seen and seen[h] != doc:
@@ -652,9 +628,7 @@ def collision_forgery_strategy(max_evals: int = 512) -> AdversaryStrategy:
         if collision is None:
             return None
         d1, d2 = collision
-        sig = ctx.handle.sign(d1, ctx.tokens[0], ctx.rng)
-        if sig is None:
-            raise TrialVoid
+        sig = _sign_or_void(ctx, d1, ctx.tokens[0])
         return [(d1, sig), (d2, sig)]
 
     return AdversaryStrategy("collision-forgery", Capability(tokens=1), program)
@@ -667,9 +641,7 @@ def spent_token_strategy() -> AdversaryStrategy:
     def program(ctx: TrialContext):
         (token,) = ctx.tokens
         doc = ctx.handle.random_doc(ctx.rng)
-        sig = ctx.handle.sign(doc, token, ctx.rng)
-        if sig is None:
-            raise TrialVoid
+        sig = _sign_or_void(ctx, doc, token)
         return [(doc, sig)], [token]
 
     return AdversaryStrategy("spent-token", Capability(tokens=1), program)
@@ -734,9 +706,7 @@ def same_pair_twice_strategy() -> AdversaryStrategy:
     def program(ctx: TrialContext):
         (token,) = ctx.tokens
         doc = ctx.handle.random_doc(ctx.rng)
-        sig = ctx.handle.sign(doc, token, ctx.rng)
-        if sig is None:
-            raise TrialVoid
+        sig = _sign_or_void(ctx, doc, token)
         return [(doc, sig), (doc, sig)]
 
     return AdversaryStrategy("same-pair-twice", Capability(tokens=1), program)
@@ -758,26 +728,23 @@ def query_count_experiment(
     Three strategies per n: zero-query measure-and-guess, budgeted random
     querying, and exhaustive reconstruction (2^{n+1} queries, success 1).
     Descriptive: the extra payload carries the full success-vs-budget curves
-    and the square-root reference scale 2^{n/4} for each n."""
+    and the square-root reference scale 2^{n/4} for each n.  The report's own
+    counts are those of the zero-query point at ``ns[0]``."""
     curves: dict[int, dict] = {}
+    head = (0, 0)
     for n in ns:
         budgets = sorted(
             {0, 1, 2, 4, 8, 16, 1 << (n // 4), 1 << (n // 2), 1 << min(n // 2 + 2, 9)}
         )
         per_budget = []
         for budget in budgets:
-            successes = 0
-            done = 0
-            attempt = 0
-            while done < trials:
-                rng = derive_rng(seed, f"qce-{n}-{budget}", attempt)
-                attempt += 1
+
+            def trial(rng: Random) -> bool:
                 pk, sk = _ot1.ot1_keygen(kappa, rng, n)
                 token = _ot1.ot1_token_gen(sk)
                 outcome, post = measure_standard(token.state, rng)
                 if outcome.is_zero():
-                    continue  # conditioned on a usable measured point
-                done += 1
+                    raise TrialVoid  # conditioned on a usable measured point
                 guess = None
                 for _ in range(budget):
                     cand = F2Vector(n, rng.getrandbits(n))
@@ -786,9 +753,12 @@ def query_count_experiment(
                         break
                 if guess is None:
                     guess = F2Vector(n, rng.getrandbits(n))
-                if member(dual(sk.space), guess) and not guess.is_zero():
-                    successes += 1
-            per_budget.append({"budget": budget, "rate": successes / trials})
+                return member(dual(sk.space), guess) and not guess.is_zero()
+
+            counts = _trial_loop(f"qce-{n}-{budget}", trials, seed, trial)
+            if (n, budget) == (ns[0], 0):
+                head = counts
+            per_budget.append({"budget": budget, "rate": counts[0] / trials})
         exhaustive_queries = 1 << (n + 1)
         curves[n] = {
             "curve": per_budget,
@@ -797,24 +767,12 @@ def query_count_experiment(
             "exhaustive_queries": exhaustive_queries,
             "exhaustive_rate": 1.0,
         }
-    zero4 = curves[ns[0]]["curve"][0]["rate"] if ns else 0.0
-    return GameReport(
-        name="query-count",
-        params={"ns": list(ns), "kappa": kappa, "trials": trials, "seed": seed},
-        successes=0,
-        trials=trials,
-        voided=0,
-        rate=zero4,
-        wilson_95=wilson_interval(int(zero4 * trials), trials),
-        analytic=None,
-        extra={"curves": curves},
-    )
+    params = {"ns": list(ns), "kappa": kappa}
+    return _report("query-count", params, trials, seed, head, extra={"curves": curves})
 
 
 def exhaustive_reconstruction(pk: MembershipOracle, n: int) -> tuple[Subspace, Subspace]:
     """Recover the hidden subspace and its dual with 2^{n+1} oracle queries."""
-    from .f2lin import canonicalize
-
     in_a = [F2Vector(n, v) for v in range(1 << n) if pk.query(F2Vector(n, v), 0)]
     in_b = [F2Vector(n, v) for v in range(1 << n) if pk.query(F2Vector(n, v), 1)]
     return canonicalize(in_a, ambient_n=n), canonicalize(in_b, ambient_n=n)
@@ -832,9 +790,10 @@ def relation_statistics(
     p_keep_b_analytic = (2 ** (n // 2 - 1) - 1) / (2 ** (n // 2) - 1)
     joint_analytic = p_keep_a_analytic * p_keep_b_analytic
 
-    keep_a = keep_b = joint = 0
-    for i in range(trials):
-        rng = derive_rng(seed, f"relation-{n}", i)
+    keep_a = keep_b = 0
+
+    def trial(rng: Random) -> bool:
+        nonlocal keep_a, keep_b
         a_space = sample_subspace(n, rng)
         a = sample_nonzero_element(a_space, rng)
         b = sample_nonzero_element(dual(a_space), rng)
@@ -845,16 +804,16 @@ def relation_statistics(
         kb = member(dual(b_space), b)
         keep_a += ka
         keep_b += kb
-        joint += ka and kb
-    return GameReport(
-        name="relation-statistics",
-        params={"n": n, "trials": trials, "seed": seed},
-        successes=joint,
-        trials=trials,
-        voided=0,
-        rate=joint / trials,
-        wilson_95=wilson_interval(joint, trials),
-        analytic=joint_analytic,
+        return ka and kb
+
+    counts = _trial_loop(f"relation-{n}", trials, seed, trial)
+    return _report(
+        "relation-statistics",
+        {"n": n},
+        trials,
+        seed,
+        counts,
+        joint_analytic,
         extra={
             "keep_a_rate": keep_a / trials,
             "keep_a_analytic": p_keep_a_analytic,
@@ -869,24 +828,21 @@ def two_faced_demo(
     seed: int = 5,
     n: int = 8,
     trials: int = 10_000,
-    kappa: int = 32,
-    hash_variant: str = "toy-16",
-) -> tuple[list[dict], GameReport]:
+) -> GameReport:
     """Three-party transcript: a signer, and two verifiers who each demand a
     signature on their own document.
 
     Variants: honest (sign for one verifier only), equivocating (replay the
     consumed token's residual for the second verifier — rejected almost
     always), and two-token (sign both, which succeeds but exposes two
-    distinct token serials).  The returned report measures the equivocation
-    rejection rate."""
+    distinct token serials).  The report measures the equivocation
+    rejection rate and carries the transcript in ``extra["transcript"]``."""
+    kappa, hash_variant = 32, "toy-16"
     rng = derive_rng(seed, "two-faced-setup", 0)
     pk, sk = _stack.ts_keygen(kappa, rng, hash_variant, n_override=n)
     transcript: list[dict] = []
 
     def serial(token) -> str:
-        from .encoding import digest
-
         return digest(_stack.encode_ot_public(token.ot_public))[:16]
 
     # honest run
@@ -908,20 +864,16 @@ def two_faced_demo(
     )
 
     # equivocating runs, measured
-    rejected = 0
-    counted = 0
-    attempt = 0
-    while counted < trials:
-        run = derive_rng(seed, "two-faced-equivocate", attempt)
-        attempt += 1
+    def equivocate(run: Random) -> bool:
         token = _stack.ts_token_gen(sk, run)
         sig_b = _stack.ts_sign(doc_b, token, run)
         if sig_b is None or not _stack.ts_verify(pk, doc_b, sig_b):
-            continue
-        counted += 1
+            raise TrialVoid
         sig_c = _stack.ts_sign(doc_c, _stack.take_custody(token), run)
-        if sig_c is None or not _stack.ts_verify(pk, doc_c, sig_c):
-            rejected += 1
+        return sig_c is None or not _stack.ts_verify(pk, doc_c, sig_c)
+
+    counts = _trial_loop("two-faced-equivocate", trials, seed, equivocate)
+    rejected = counts[0]
     transcript.append(
         {
             "variant": "equivocating",
@@ -946,18 +898,8 @@ def two_faced_demo(
             "flag": "two distinct serials visible to any auditor comparing transcripts",
         }
     )
-    report = GameReport(
-        name="two-faced",
-        params={"n": n, "kappa": kappa, "hash": hash_variant, "trials": trials, "seed": seed},
-        successes=rejected,
-        trials=trials,
-        voided=attempt - trials,
-        rate=rejected / trials,
-        wilson_95=wilson_interval(rejected, trials),
-        analytic=None,
-        extra={"transcript": transcript},
-    )
-    return transcript, report
+    params = {"n": n, "kappa": kappa, "hash": hash_variant}
+    return _report("two-faced", params, trials, seed, counts, extra={"transcript": transcript})
 
 
 def fit_halving_slope(rates: dict[int, float]) -> float:
@@ -1014,7 +956,7 @@ def _register_cli_games() -> None:
         return relation_statistics(n, trials, seed)
 
     def two_faced(n: int, ell: int, trials: int, seed: int, kappa: int) -> GameReport:
-        return two_faced_demo(seed, n, trials)[1]
+        return two_faced_demo(seed, n, trials)
 
     GAME_RUNNERS.update(
         {

@@ -21,6 +21,7 @@ from .stack import (
     TsSignature,
     TsToken,
     encode_ot_public,
+    ts_keygen,
     ts_sign,
     ts_token_gen,
     ts_verify,
@@ -243,7 +244,6 @@ def simulate_bank(
     kappa: int = 64,
     hash_variant: str = "toy-16",
     n_override: int | None = 8,
-    start_time: int = 1_000_000 * SECONDS_PER_DAY,
 ) -> tuple[list[LedgerEvent], dict[str, Any]]:
     """Run a line-oriented scenario and return (ledger, audit stats).
 
@@ -259,10 +259,8 @@ def simulate_bank(
     minting capability.  WRITE uses the scenario clock as the check's
     timestamp.  Missing names or malformed fields raise ScenarioError.
     """
-    from .stack import ts_keygen
-
     bank_pk, bank_sk = ts_keygen(kappa, rng, hash_variant, n_override=n_override)
-    now = start_time
+    now = 1_000_000 * SECONDS_PER_DAY
     branches: dict[int, BranchState] = {}
     coins: dict[tuple[str, str], Coin | None] = {}
     checks: dict[str, Check | None] = {}  # None: the write failed, no check exists

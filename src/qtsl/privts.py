@@ -10,6 +10,7 @@ decrypting anything.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from random import Random
 
@@ -32,6 +33,7 @@ from .stack import (
     OtSecretKey,
     OtSignature,
     OtToken,
+    OtrPublicKey,
     ot_keygen,
     ot_sign,
     ot_token_gen,
@@ -134,10 +136,6 @@ def encode_priv_ot_key(key: OtPublicKey) -> bytes:
 
 
 def decode_priv_ot_key(raw: bytes) -> OtPublicKey:
-    import json
-
-    from .stack import OtrPublicKey
-
     try:
         obj = json.loads(raw.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -329,12 +329,12 @@ def test_criterion_12_weak_hash_red_test(monkeypatch):
 
     monkeypatch.setattr(games, "hash_eval", counted_hash_eval)
     rep = game_unforgeability(ts_handle(16, "toy-8", 8),
-                              counted(collision_forgery_strategy(max_evals=512)), ell=1,
+                              counted(collision_forgery_strategy()), ell=1,
                               trials=200, seed=1201)
     toy_evals = evals.copy()
     evals.clear()
     rep_long = game_unforgeability(ts_handle(16, "sha256-256", 8),
-                                   counted(collision_forgery_strategy(max_evals=512)), ell=1,
+                                   counted(collision_forgery_strategy()), ell=1,
                                    trials=50, seed=1202)
     ok = (rep.rate == 1.0 and rep_long.rate == 0.0 and len(toy_evals) >= rep.trials
           and len(evals) >= rep_long.trials and max(toy_evals + evals) <= 512)

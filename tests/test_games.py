@@ -245,6 +245,16 @@ def test_query_count_experiment_shape():
     assert curves[4]["zero_query_analytic"] == pytest.approx(3 / 16)
 
 
+def test_query_count_report_counts_agree():
+    """The report's counts are the zero-query point at ns[0]: its fraction,
+    rate and interval all come from the same success count."""
+    rep = query_count_experiment(ns=(4,), trials=300, seed=9)
+    fraction = json.loads(rep.to_json())["rate_fraction"]
+    assert fraction == f"{rep.successes}/{rep.trials}" == "55/300"
+    assert rep.rate == rep.successes / rep.trials == rep.extra["curves"][4]["curve"][0]["rate"]
+    assert rep.wilson_95 == wilson_interval(55, 300)
+
+
 def test_relation_statistics_small():
     rep = relation_statistics(n=8, trials=4000, seed=13)
     keep = 7 / 15

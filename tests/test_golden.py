@@ -25,6 +25,7 @@ from qtsl.cli import (
 from qtsl.cli import main as cli_main
 from qtsl.encoding import canonical_json
 from qtsl.games import (
+    GAME_RUNNERS,
     double_revoke_strategy,
     enumerate_consistent_strategy,
     game_everlasting,
@@ -77,7 +78,7 @@ GAMES = {
     "relation-statistics": lambda: relation_statistics(8, 200, seed=16),
     # reports whose revocation or second signature runs through the ordinary
     # signing path on a register taken back from its holder
-    "two-faced": lambda: two_faced_demo(seed=18, n=6, trials=40)[1],
+    "two-faced": lambda: two_faced_demo(seed=18, n=6, trials=40),
     "revocability-otr-spent": lambda: game_revocability(
         otr_handle(16, r=4, n=6), spent_token_strategy(), ell=1, t=1, trials=60, seed=19
     ),
@@ -124,6 +125,9 @@ GAMES = {
     "super-security-priv-ot1-naive": lambda: game_super_security(
         priv_ot1_handle(16, 6), naive_double_sign_strategy(), ell=1, trials=200, seed=30
     ),
+    # at n = 4 only about 1 % of equivocation attempts are usable, so the run
+    # voids thousands of trials in a row without tripping the runaway guard
+    "two-faced-n4": lambda: two_faced_demo(seed=5, n=4, trials=30),
 }
 
 GAME_DIGESTS = {
@@ -147,12 +151,36 @@ GAME_DIGESTS = {
     "super-security-ot-same-pair": "a0b34e34bae2cc68307e87c95d698a0a10ffd1b1140f6c167b139f069b49f8ef",
     "unpredictability-tm": "cf857bb3a92db20bb37cd9c20ab6fc805d9ba5a8b182336b39f8723a9a6f4e9a",
     "super-security-priv-ot1-naive": "8b9b225b8951bf5c4543c76263bfe6c3a9e213a1a2c4a720822bb5f6a88c3609",
+    "two-faced-n4": "c13abff32c79c892ece6f36e6bcd8daad0ec3300c446ece3aebce2b3b3d0aa15",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GAMES))
 def test_game_report_digest(name):
     assert sha(GAMES[name]().to_json()) == GAME_DIGESTS[name]
+
+
+# every `qtsl game` runner at n 6, ell 1, 30 trials, seed 3, kappa 16, except
+# relation (n 8, 300 trials) and two-faced (40 trials)
+RUNNER_ARGS = {"relation": dict(n=8, trials=300), "two-faced": dict(trials=40)}
+
+RUNNER_DIGESTS = {
+    "everlasting": "f42da339dad4a3061190b96494311ae924e11a75cce55ec5a7fdd9a93c4d7aa4",
+    "query-count": "1a651136e7a89891bb8c6e340ed85baea0e96c7690a7f126d9dbdccb20973113",
+    "relation": "10ec31d8bf5133adb55e0ca001f508084c98ad1eb8f7560106dafe12c500687f",
+    "revocability": "4a85883b2d892b3fda8303aeb9f96ab5f6c814b46c4f4556cc6579de1b0b727e",
+    "super-security": "3c3c4dee405117592064fdc792d1cfdf150fac094438e4451c7772402c4fa4f1",
+    "testability": "6c75bc490b547c2e72e932ea62ee50183343cb4c0f8616ad921c88a3326c6623",
+    "two-faced": "7e66de6ca661559d3a0cb93c292ce3847f55c3521b89cdc5156cf3bd9d41dfff",
+    "unforgeability": "e329140e2e434b1036b9f696427bc2357fd7f3e66c669baf33eb6fc0682d7120",
+    "unpredictability": "7202ae9c38ef03eb2ff81ae25376993c8d4560e06e48e5a59edcd12d1baf7e0c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAME_RUNNERS))
+def test_game_runner_digest(name):
+    args = dict(n=6, ell=1, trials=30, seed=3, kappa=16) | RUNNER_ARGS.get(name, {})
+    assert sha(GAME_RUNNERS[name](**args).to_json()) == RUNNER_DIGESTS[name]
 
 
 BANK_SCENARIO = """
