@@ -49,6 +49,7 @@ from .ot1 import (
     ot1_token_gen,
     ot1_verify,
     ot1_verify_token,
+    priv_ot1_verify,
     withheld_twin,
 )
 from .primitives import (
@@ -62,7 +63,6 @@ from .primitives import (
     hash_index,
 )
 from .stack import (
-    OtrSignature,
     TsPublicKey,
     TsSecretKey,
     TsSignature,
@@ -89,7 +89,6 @@ from .privts import (
     TmSignature,
     TmToken,
     priv_ot1_keygen,
-    priv_ot1_verify,
     tm_keygen,
     tm_revoke,
     tm_sign,

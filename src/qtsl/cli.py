@@ -36,11 +36,11 @@ from .encoding import (
     encode_space,
     encode_state,
     encode_vector,
+    load_json,
 )
 from .games import GAME_RUNNERS, GameReport
 from .money import (
     Coin,
-    ScenarioError,
     SignFailedError,
     check_verify,
     check_write,
@@ -128,12 +128,7 @@ def wrap_container(kind: str, payload: dict) -> bytes:
 
 
 def unwrap_container(data: bytes, kind: str | None = None) -> tuple[str, dict]:
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    # ValueError: bad UTF-8, bad JSON or an int past the digit limit;
-    # RecursionError: arrays or objects nested past the recursion limit
-    except (ValueError, RecursionError) as exc:
-        raise DataError(f"not a container: {exc}") from exc
+    obj = load_json(data)
     if not isinstance(obj, dict):
         raise DataError("container must be a JSON object")
     if obj.get("magic") != MAGIC:
@@ -234,19 +229,22 @@ def encode_public_key(pk: TsPublicKey) -> bytes:
     return wrap_container("ts-public-key", payload)
 
 
-def decode_public_key(data: bytes) -> TsPublicKey:
-    _, payload = unwrap_container(data, "ts-public-key")
+def _key_params(payload: dict) -> tuple[str, int, str, int | None]:
+    """The fields a public and a secret key share, checked: (algo, kappa,
+    hash variant, n)."""
     algo = _need(payload, "algo", str)
     if algo not in ("ed25519", "hash-chain"):
         raise DataError(f"unknown signature algorithm {algo!r}")
-    if _need(payload, "hash_variant", str) not in HASH_VARIANTS:
+    hash_variant = _need(payload, "hash_variant", str)
+    if hash_variant not in HASH_VARIANTS:
         raise DataError("unknown hash variant")
-    return TsPublicKey(
-        DsPublicKey(algo, _hex(payload, "material")),
-        _kappa(_need(payload, "kappa", int)),
-        payload["hash_variant"],
-        _opt_int(payload, "n"),
-    )
+    return algo, _kappa(_need(payload, "kappa", int)), hash_variant, _opt_int(payload, "n")
+
+
+def decode_public_key(data: bytes) -> TsPublicKey:
+    _, payload = unwrap_container(data, "ts-public-key")
+    algo, *params = _key_params(payload)
+    return TsPublicKey(DsPublicKey(algo, _hex(payload, "material")), *params)
 
 
 def encode_secret_key(sk: TsSecretKey) -> bytes:
@@ -269,11 +267,7 @@ def encode_secret_key(sk: TsSecretKey) -> bytes:
 
 def decode_secret_key(data: bytes) -> TsSecretKey:
     _, payload = unwrap_container(data, "ts-secret-key")
-    algo = _need(payload, "algo", str)
-    if algo not in ("ed25519", "hash-chain"):
-        raise DataError(f"unknown signature algorithm {algo!r}")
-    if _need(payload, "hash_variant", str) not in HASH_VARIANTS:
-        raise DataError("unknown hash variant")
+    algo, *params = _key_params(payload)
     material = _hex(payload, "material")
     next_leaf = _need(payload, "next_leaf", int)
     capacity_log2 = _need(payload, "capacity_log2", int)
@@ -285,9 +279,7 @@ def decode_secret_key(data: bytes) -> TsSecretKey:
         raise DataError("an ed25519 key is 32 bytes and carries no leaf state")
     else:
         ds = DsSecretKey(algo, material)
-    return TsSecretKey(
-        ds, _kappa(_need(payload, "kappa", int)), payload["hash_variant"], _opt_int(payload, "n")
-    )
+    return TsSecretKey(ds, *params)
 
 
 def _enc_ot1_token(tok: Ot1Token) -> dict:
@@ -317,6 +309,8 @@ def _token_from_payload(payload: dict) -> TsToken:
     ot_public = _dec_ot_public(_dict(payload, "ot_public"))
     comps = [_hidden_space(pk) for pk in ot_public.otr.components]
     objs = _list(payload, "tokens")
+    if len(objs) != len(comps):
+        raise DataError(f"token has {len(objs)} component tokens, its key {len(comps)}")
     for t in objs:
         if not isinstance(t, dict):
             raise DataError("token component must be an object")
@@ -543,7 +537,7 @@ def _cmd_verify_token(args) -> int:
     ok = _locked_update(
         args.token,
         decode_token,
-        lambda token: ts_verify_token(pk, token, Random(args.seed))[0],
+        lambda token: ts_verify_token(pk, token, Random(args.seed)),
         encode_token,
     )
     print("ACCEPT" if ok else "REJECT")
@@ -788,9 +782,6 @@ def main(argv: list[str] | None = None) -> int:
     except SignFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, TypeError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from .qsim import CosetState, basis_state, phase_state, subspace_state, unsuppor
 
 __all__ = [
     "canonical_json",
+    "load_json",
     "encode_vector",
     "decode_vector",
     "decode_vectors",
@@ -34,6 +35,16 @@ __all__ = [
 
 def canonical_json(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
+
+
+def load_json(raw: bytes) -> Any:
+    """Parse untrusted JSON bytes; whatever cannot be read raises DataError."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    # ValueError: bad UTF-8, bad JSON or an int past the digit limit;
+    # RecursionError: arrays or objects nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"not JSON: {exc}") from exc
 
 
 def digest(data: bytes) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Any, Callable
 
@@ -245,7 +245,7 @@ class SchemeHandle:
     sign: Callable[[Any, Any, Random], Any]
     verify: Callable[[Any, Any, Any], bool]
     random_doc: Callable[[Random], Any]
-    verify_token: Callable[[Any, Any, Random], tuple[bool, Any]]
+    verify_token: Callable[[Any, Any, Random], bool]
     sig_bytes: Callable[[Any], bytes]
     withhold: Callable[[Any], Any] | None = None
 
@@ -257,46 +257,43 @@ def ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
         keygen=lambda rng: _ot1.ot1_keygen(kappa, rng, n),
         token_gen=lambda sk, rng: _ot1.ot1_token_gen(sk),
         sign=_ot1.ot1_sign,
-        verify=lambda pk, doc, sig: isinstance(sig, Ot1Signature)
+        verify=lambda key, doc, sig: isinstance(sig, Ot1Signature)
         and sig.alpha == doc
-        and _ot1.ot1_verify(pk, doc, sig.sig),
+        and _ot1.one_bit_verify(key, doc, sig.sig),
         random_doc=lambda rng: rng.getrandbits(1),
-        verify_token=_ot1.ot1_verify_token,
+        verify_token=_ot1.one_bit_verify_token,
         sig_bytes=lambda sig: f"{sig.alpha}:{sig.sig}".encode(),
         withhold=withheld_twin,
     )
 
 
 def priv_ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
-    return SchemeHandle(
+    """The ot1 handle over private keys; there is no oracle to withhold."""
+    return replace(
+        ot1_handle(kappa, n),
         name="priv-ot1",
-        params={"kappa": kappa, "n": n},
         keygen=lambda rng: _privts.priv_ot1_keygen(kappa, rng, n),
-        token_gen=lambda sk, rng: _ot1.ot1_token_gen(sk),
-        sign=_ot1.ot1_sign,
-        verify=lambda key, doc, sig: isinstance(sig, Ot1Signature)
-        and sig.alpha == doc
-        and _privts.priv_ot1_verify(key, doc, sig.sig),
-        random_doc=lambda rng: rng.getrandbits(1),
-        verify_token=_privts.priv_ot1_verify_token,
-        sig_bytes=lambda sig: f"{sig.alpha}:{sig.sig}".encode(),
+        withhold=None,
     )
 
 
 def otr_handle(
     kappa: int = 16, r: int = 4, n: int | None = 8, private: bool = False
 ) -> SchemeHandle:
-    base = _privts.PRIVATE_ONE_BIT if private else _stack.PUBLIC_ONE_BIT
+    def keygen(rng: Random) -> tuple[_stack.OtrPublicKey, _stack.OtrSecretKey]:
+        pub, sec = _stack.otr_keygen(kappa, r, rng, n)
+        return (_stack.OtrPublicKey(sec.components) if private else pub), sec
+
     return SchemeHandle(
         name="otr-private" if private else "otr",
         params={"kappa": kappa, "r": r, "n": n},
-        keygen=lambda rng: _stack.otr_keygen(kappa, r, rng, base, n),
+        keygen=keygen,
         token_gen=lambda sk, rng: _stack.otr_token_gen(sk),
         sign=_stack.otr_sign,
         verify=_stack.otr_verify,
         random_doc=lambda rng: format(rng.getrandbits(r), f"0{r}b"),
         verify_token=_stack.otr_verify_token,
-        sig_bytes=lambda sig: repr((sig.alpha, sig.sigs)).encode(),
+        sig_bytes=lambda sig: repr(sig.sigs).encode(),
     )
 
 
@@ -306,11 +303,11 @@ def ot_handle(
     n: int | None = 8,
     private: bool = False,
 ) -> SchemeHandle:
-    base = _privts.PRIVATE_ONE_BIT if private else _stack.PUBLIC_ONE_BIT
+    keygen = _privts.priv_ot_keygen if private else _stack.ot_keygen
     return SchemeHandle(
         name="ot-private" if private else "ot",
         params={"kappa": kappa, "hash": hash_variant, "n": n},
-        keygen=lambda rng: _stack.ot_keygen(kappa, rng, hash_variant, base, n),
+        keygen=lambda rng: keygen(kappa, rng, hash_variant, n),
         token_gen=lambda sk, rng: _stack.ot_token_gen(sk),
         sign=_stack.ot_sign,
         verify=_stack.ot_verify,
@@ -478,8 +475,7 @@ def game_testability(
         pk, sk = handle.keygen(rng)
         token = handle.token_gen(sk, rng)
         for _ in range(k):
-            ok, token = handle.verify_token(pk, token, rng)
-            if not ok:
+            if not handle.verify_token(pk, token, rng):
                 return False
         doc = handle.random_doc(rng)
         sig = handle.sign(doc, token, rng)

@@ -97,10 +97,7 @@ def coin_mint(sk: TsSecretKey, rng: Random) -> Coin:
 def coin_verify(pk: TsPublicKey, coin: Coin, rng: Random) -> bool:
     """Serial must match the token's certified key, and the token must pass
     its non-destructive check."""
-    if coin.serial != coin_serial(coin.token):
-        return False
-    ok, _ = ts_verify_token(pk, coin.token, rng)
-    return ok
+    return coin.serial == coin_serial(coin.token) and ts_verify_token(pk, coin.token, rng)
 
 
 def canonical_check_document(payee: str, branch_id: int, timestamp: int, nonce: bytes) -> bytes:

@@ -37,6 +37,10 @@ __all__ = [
     "ot1_sign",
     "ot1_verify",
     "ot1_verify_token",
+    "priv_ot1_verify",
+    "priv_ot1_verify_token",
+    "one_bit_verify",
+    "one_bit_verify_token",
     "ot1_revoke",
     "withheld_twin",
 ]
@@ -207,28 +211,57 @@ def ot1_verify(pk: MembershipOracle, alpha: int, sig: F2Vector) -> bool:
     return bool(bit) and not sig.is_zero()
 
 
-def ot1_verify_token(
-    pk: MembershipOracle, token: Ot1Token, rng: Random
-) -> tuple[bool, Ot1Token]:
+def ot1_verify_token(pk: MembershipOracle, token: Ot1Token, rng: Random) -> bool:
     """Non-destructive token test: project onto the hidden subspace.
 
     Costs two oracle queries (the projection is realized with one membership
-    round in each basis).  An accepted honest token is returned unchanged and
+    round in each basis).  An accepted honest token is left unchanged and
     stays usable; a rejected token is left with an untracked residual state.
     """
     if pk.mode != "public":
         raise OracleWithheldError("oracle queries are withheld")
     pk._charge(2)
-    accepted, post = project_subspace(token.state, _hidden_space(pk), rng)
-    token.state = post
-    return accepted, token
+    accepted, token.state = project_subspace(token.state, _hidden_space(pk), rng)
+    return accepted
 
 
-def ot1_revoke(pk: MembershipOracle, token: Ot1Token, rng: Random) -> bool:
-    """Sign a random bit with the token and verify the result.
+def priv_ot1_verify(key: Ot1SecretKey, alpha: int, sig: F2Vector) -> bool:
+    """Private verification: a direct membership test against the key; zero
+    and vectors of the wrong length never verify."""
+    if sig.is_zero() or sig.n != key.space.ambient_n:
+        return False
+    return bool(member_or_dual(key.space, sig, 1 if alpha else 0))
 
-    Consumes the token; returns whether verification accepted.
-    """
+
+def priv_ot1_verify_token(key: Ot1SecretKey, token: Ot1Token, rng: Random) -> bool:
+    """Private token test: the projection of ``ot1_verify_token`` with no
+    oracle and no query accounting."""
+    accepted, token.state = project_subspace(token.state, key.space, rng)
+    return accepted
+
+
+def one_bit_verify(key: MembershipOracle | Ot1SecretKey, alpha: int, sig: F2Vector) -> bool:
+    """The check a key's type picks: ``priv_ot1_verify`` for a secret key
+    held as the verification key, ``ot1_verify`` for an oracle.  Both are
+    looked up by module name at call time, so a wrapper installed on this
+    module sees every call."""
+    if isinstance(key, Ot1SecretKey):
+        return priv_ot1_verify(key, alpha, sig)
+    return ot1_verify(key, alpha, sig)
+
+
+def one_bit_verify_token(
+    key: MembershipOracle | Ot1SecretKey, token: Ot1Token, rng: Random
+) -> bool:
+    """The token test a key's type picks, as in ``one_bit_verify``."""
+    if isinstance(key, Ot1SecretKey):
+        return priv_ot1_verify_token(key, token, rng)
+    return ot1_verify_token(key, token, rng)
+
+
+def ot1_revoke(key: MembershipOracle | Ot1SecretKey, token: Ot1Token, rng: Random) -> bool:
+    """Sign a random bit with the token and verify it under the key, public
+    or private.  Consumes the token; returns whether verification accepted."""
     alpha = rng.getrandbits(1)
     outcome = ot1_measure(alpha, token, rng)
-    return outcome is not None and ot1_verify(pk, alpha, outcome)
+    return outcome is not None and one_bit_verify(key, alpha, outcome)

@@ -10,13 +10,11 @@ decrypting anything.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from random import Random
 
-from .encoding import canonical_json, decode_spaces, encode_space
-from .f2lin import F2Vector, member_or_dual
-from .ot1 import Ot1SecretKey, Ot1Token, ot1_keygen, ot1_measure
+from .encoding import canonical_json, decode_spaces, encode_space, load_json
+from .ot1 import Ot1SecretKey, ot1_keygen
 from .primitives import (
     DataError,
     decrypt,
@@ -26,9 +24,7 @@ from .primitives import (
     mac_tag,
     mac_verify,
 )
-from .qsim import project_subspace
 from .stack import (
-    OneBitOps,
     OtPublicKey,
     OtSecretKey,
     OtSignature,
@@ -44,11 +40,7 @@ from .stack import (
 )
 
 __all__ = [
-    "PRIVATE_ONE_BIT",
     "priv_ot1_keygen",
-    "priv_ot1_verify",
-    "priv_ot1_verify_token",
-    "priv_ot1_revoke",
     "priv_ot_keygen",
     "priv_ot_token_gen",
     "priv_ot_sign",
@@ -68,6 +60,11 @@ __all__ = [
 ]
 
 
+# A private key is the public keygen's secret components used as the
+# verification key, for which ``ot1.one_bit_verify`` picks the private checks:
+# the private layers are the generic stack over keys holding private material.
+
+
 def priv_ot1_keygen(
     kappa: int, rng: Random, n_override: int | None = None
 ) -> tuple[Ot1SecretKey, Ot1SecretKey]:
@@ -77,46 +74,14 @@ def priv_ot1_keygen(
     return key, key
 
 
-def priv_ot1_verify(key: Ot1SecretKey, alpha: int, sig: F2Vector) -> bool:
-    """Direct membership test against the key; zero and vectors of the wrong
-    length never verify."""
-    if sig.is_zero() or sig.n != key.space.ambient_n:
-        return False
-    return bool(member_or_dual(key.space, sig, 1 if alpha else 0))
-
-
-def priv_ot1_verify_token(
-    key: Ot1SecretKey, token: Ot1Token, rng: Random
-) -> tuple[bool, Ot1Token]:
-    accepted, post = project_subspace(token.state, key.space, rng)
-    token.state = post
-    return accepted, token
-
-
-def priv_ot1_revoke(key: Ot1SecretKey, token: Ot1Token, rng: Random) -> bool:
-    alpha = rng.getrandbits(1)
-    outcome = ot1_measure(alpha, token, rng)
-    return outcome is not None and priv_ot1_verify(key, alpha, outcome)
-
-
-PRIVATE_ONE_BIT = OneBitOps(
-    keygen=lambda kappa, rng, n_override: priv_ot1_keygen(kappa, rng, n_override),
-    verify=priv_ot1_verify,
-    verify_token=priv_ot1_verify_token,
-)
-
-
-# The private hash-and-sign layers are the generic stack over the private
-# one-bit operations; "public" key objects here hold private material.
-
-
 def priv_ot_keygen(
     kappa: int,
     rng: Random,
     hash_variant: str = "sha256-256",
     n_override: int | None = None,
 ) -> tuple[OtPublicKey, OtSecretKey]:
-    return ot_keygen(kappa, rng, hash_variant, PRIVATE_ONE_BIT, n_override)
+    _, sec = ot_keygen(kappa, rng, hash_variant, n_override)
+    return OtPublicKey(sec.s, OtrPublicKey(sec.otr.components)), sec
 
 
 priv_ot_token_gen = ot_token_gen
@@ -136,10 +101,7 @@ def encode_priv_ot_key(key: OtPublicKey) -> bytes:
 
 
 def decode_priv_ot_key(raw: bytes) -> OtPublicKey:
-    try:
-        obj = json.loads(raw.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError("undecodable private key blob") from exc
+    obj = load_json(raw)
     if not isinstance(obj, dict) or obj.get("v") != 1 or obj.get("kind") != "priv-ot-key":
         raise DataError("not a private key blob")
     try:
@@ -151,7 +113,7 @@ def decode_priv_ot_key(raw: bytes) -> OtPublicKey:
     if len(spaces) != len(ids) or not spaces:
         raise DataError("bad private key component count")
     comps = tuple(Ot1SecretKey(sp, kid) for sp, kid in zip(spaces, ids))
-    return OtPublicKey(s, OtrPublicKey(comps, PRIVATE_ONE_BIT))
+    return OtPublicKey(s, OtrPublicKey(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +199,9 @@ def tm_verify(key: TmKey, doc: bytes, sig: TmSignature) -> bool:
     return inner_key is not None and priv_ot_verify(inner_key, doc, sig.ot_sig)
 
 
-def tm_verify_token(key: TmKey, token: TmToken, rng: Random) -> tuple[bool, TmToken]:
+def tm_verify_token(key: TmKey, token: TmToken, rng: Random) -> bool:
     inner_key = _open_key_blob(key, token.key_blob, token.tag)
-    if inner_key is None:
-        return False, token
-    ok, _ = priv_ot_verify_token(inner_key, token.ot_token, rng)
-    return ok, token
+    return inner_key is not None and priv_ot_verify_token(inner_key, token.ot_token, rng)
 
 
 def tm_revoke(key: TmKey, token: TmToken, rng: Random) -> bool:

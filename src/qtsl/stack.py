@@ -9,13 +9,15 @@ Three layers, each a standard transformation:
   long-lived classical signature, so one classical public key backs an
   unbounded stream of single-use tokens.
 
-Every layer is parameterized over the underlying one-bit operations so the
-same code serves both the oracle-based scheme and the private-key variant.
+The same code serves the oracle-based scheme and the private-key variant:
+a layer's verification key holds either membership oracles or the one-bit
+secret keys themselves, and ``ot1`` picks each component's check from its
+type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 from typing import Any, Callable
@@ -36,12 +38,9 @@ from .primitives import (
 )
 
 __all__ = [
-    "OneBitOps",
-    "PUBLIC_ONE_BIT",
     "OtrPublicKey",
     "OtrSecretKey",
     "OtrToken",
-    "OtrSignature",
     "otr_keygen",
     "otr_token_gen",
     "otr_sign",
@@ -75,23 +74,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OneBitOps:
-    """What a one-bit scheme provides to the stack beyond the shared
-    ``ot1_token_gen``/``ot1_sign``: its keys and its two checks."""
-
-    keygen: Callable[[int, Random, int | None], tuple[Any, Any]]
-    verify: Callable[[Any, int, F2Vector], bool]
-    verify_token: Callable[[Any, Any, Random], tuple[bool, Any]]
-
-
-PUBLIC_ONE_BIT = OneBitOps(
-    keygen=lambda kappa, rng, n_override: _ot1.ot1_keygen(kappa, rng, n_override),
-    verify=lambda pk, alpha, vec: _ot1.ot1_verify(pk, alpha, vec),
-    verify_token=lambda pk, token, rng: _ot1.ot1_verify_token(pk, token, rng),
-)
-
-
 # ---------------------------------------------------------------------------
 # r-fold product layer
 # ---------------------------------------------------------------------------
@@ -99,8 +81,10 @@ PUBLIC_ONE_BIT = OneBitOps(
 
 @dataclass(frozen=True)
 class OtrPublicKey:
+    """One verification key per document bit: membership oracles, or the
+    one-bit secret keys for private verification."""
+
     components: tuple[Any, ...]
-    base: OneBitOps = field(repr=False, compare=False, default=PUBLIC_ONE_BIT)
 
     @property
     def r(self) -> int:
@@ -122,8 +106,10 @@ class OtrToken:
 
 
 @dataclass(frozen=True)
-class OtrSignature:
-    alpha: str
+class OtSignature:
+    """One vector per document bit; the r-fold product and hash-and-sign
+    layers share it."""
+
     sigs: tuple[F2Vector, ...]
 
 
@@ -136,7 +122,6 @@ def otr_keygen(
     kappa: int,
     r: int,
     rng: Random,
-    base: OneBitOps = PUBLIC_ONE_BIT,
     n_override: int | None = None,
 ) -> tuple[OtrPublicKey, OtrSecretKey]:
     """r independent one-bit keys, one per document bit."""
@@ -144,28 +129,28 @@ def otr_keygen(
         raise ValueError("r must be at least 1")
     pub, sec = [], []
     for _ in range(r):
-        pk, sk = base.keygen(kappa, rng, n_override)
+        pk, sk = _ot1.ot1_keygen(kappa, rng, n_override)
         pub.append(pk)
         sec.append(sk)
-    return OtrPublicKey(tuple(pub), base), OtrSecretKey(tuple(sec))
+    return OtrPublicKey(tuple(pub)), OtrSecretKey(tuple(sec))
 
 
 def otr_token_gen(sk: OtrSecretKey) -> OtrToken:
     return OtrToken([_ot1.ot1_token_gen(c) for c in sk.components])
 
 
-def otr_sign(alpha: str, token: OtrToken, rng: Random) -> OtrSignature | None:
+def otr_sign(alpha: str, token: OtrToken, rng: Random) -> OtSignature | None:
     """Sign each bit with its component token.  All components are consumed;
     a single component failure fails the whole signature (no retry)."""
     _check_alpha(alpha, len(token.tokens))
     sigs = [_ot1.ot1_sign(int(bit), tok, rng) for bit, tok in zip(alpha, token.tokens)]
     if None in sigs:
         return None
-    return OtrSignature(alpha, tuple(s.sig for s in sigs))
+    return OtSignature(tuple(s.sig for s in sigs))
 
 
-def otr_verify(pub: OtrPublicKey, alpha: str, sig: OtrSignature) -> bool:
-    if not isinstance(sig, OtrSignature) or sig.alpha != alpha:
+def otr_verify(pub: OtrPublicKey, alpha: str, sig: OtSignature) -> bool:
+    if not isinstance(sig, OtSignature):
         return False
     try:
         _check_alpha(alpha, pub.r)
@@ -174,19 +159,20 @@ def otr_verify(pub: OtrPublicKey, alpha: str, sig: OtrSignature) -> bool:
     if len(sig.sigs) != pub.r:
         return False
     return all(
-        pub.base.verify(pk, int(bit_char), vec)
+        _ot1.one_bit_verify(pk, int(bit_char), vec)
         for pk, bit_char, vec in zip(pub.components, alpha, sig.sigs)
     )
 
 
-def otr_verify_token(pub: OtrPublicKey, token: OtrToken, rng: Random) -> tuple[bool, OtrToken]:
+def otr_verify_token(pub: OtrPublicKey, token: OtrToken, rng: Random) -> bool:
+    """Every component token must pass its test; all are tested, even after
+    one fails, so each is left in its post-test state."""
     if len(token.tokens) != pub.r:
-        return False, token
-    ok = True
-    for pk, tok in zip(pub.components, token.tokens):
-        accepted, _ = pub.base.verify_token(pk, tok, rng)
-        ok = ok and accepted
-    return ok, token
+        return False
+    verdicts = [
+        _ot1.one_bit_verify_token(pk, tok, rng) for pk, tok in zip(pub.components, token.tokens)
+    ]
+    return all(verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +222,17 @@ class OtToken:
     otr: OtrToken
 
 
-@dataclass(frozen=True)
-class OtSignature:
-    sigs: tuple[F2Vector, ...]
-
-
 def ot_keygen(
     kappa: int,
     rng: Random,
     hash_variant: str = "sha256-256",
-    base: OneBitOps = PUBLIC_ONE_BIT,
     n_override: int | None = None,
 ) -> tuple[OtPublicKey, OtSecretKey]:
     """Hash-and-sign keys: a sampled hash index plus one component key per
     digest bit."""
     s = hash_index(kappa, rng, hash_variant)
     r = hash_bits(s)
-    pub, sec = otr_keygen(kappa, r, rng, base, n_override)
+    pub, sec = otr_keygen(kappa, r, rng, n_override)
     return OtPublicKey(s, pub), OtSecretKey(s, sec)
 
 
@@ -261,25 +241,17 @@ def ot_token_gen(sk: OtSecretKey) -> OtToken:
 
 
 def ot_sign(doc: bytes, token: OtToken, rng: Random) -> OtSignature | None:
-    alpha = hash_eval(token.s, doc)
-    inner = otr_sign(alpha, token.otr, rng)
-    return None if inner is None else OtSignature(inner.sigs)
+    return otr_sign(hash_eval(token.s, doc), token.otr, rng)
 
 
 def ot_verify(pub: OtPublicKey, doc: bytes, sig: OtSignature) -> bool:
-    if not isinstance(sig, OtSignature):
-        return False
-    alpha = hash_eval(pub.s, doc)
-    return otr_verify(pub.otr, alpha, OtrSignature(alpha, tuple(sig.sigs)))
+    return otr_verify(pub.otr, hash_eval(pub.s, doc), sig)
 
 
-def ot_verify_token(pub: OtPublicKey, token: OtToken, rng: Random) -> tuple[bool, OtToken]:
+def ot_verify_token(pub: OtPublicKey, token: OtToken, rng: Random) -> bool:
     """Token check: the token's hash index must equal the key's, then every
     component token must pass projection."""
-    if token.s != pub.s:
-        return False, token
-    ok, _ = otr_verify_token(pub.otr, token.otr, rng)
-    return ok, token
+    return token.s == pub.s and otr_verify_token(pub.otr, token.otr, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +318,7 @@ def ts_keygen(
 def ts_token_gen(sk: TsSecretKey, rng: Random) -> TsToken:
     """Mint one token: a fresh hash-and-sign keypair whose public part is
     certified by the long-lived classical key."""
-    ot_pub, ot_sec = ot_keygen(sk.kappa, rng, sk.hash_variant, PUBLIC_ONE_BIT, sk.n_override)
+    ot_pub, ot_sec = ot_keygen(sk.kappa, rng, sk.hash_variant, sk.n_override)
     chain = ds_sign(sk.ds_sk, encode_ot_public(ot_pub))
     return TsToken(ot_pub, chain, ot_token_gen(ot_sec))
 
@@ -367,11 +339,11 @@ def ts_verify(pk: TsPublicKey, doc: bytes, sig: TsSignature) -> bool:
     return ot_verify(sig.ot_public, doc, sig.ot_sig)
 
 
-def ts_verify_token(pk: TsPublicKey, token: TsToken, rng: Random) -> tuple[bool, TsToken]:
+def ts_verify_token(pk: TsPublicKey, token: TsToken, rng: Random) -> bool:
+    """Chain certificate first, then the token's own check."""
     if not token.ot_public._certified_by(pk.ds_pk, token.chain_sig):
-        return False, token
-    ok, _ = ot_verify_token(token.ot_public, token.ot_token, rng)
-    return ok, token
+        return False
+    return ot_verify_token(token.ot_public, token.ot_token, rng)
 
 
 # ---------------------------------------------------------------------------

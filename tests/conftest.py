@@ -33,7 +33,7 @@ def record_tm_steps(monkeypatch):
         wrap("mac_verify", "mac", bool)
         wrap("decrypt", "decrypt", lambda _: True)
         wrap("priv_ot_verify", "inner", bool)
-        wrap("priv_ot_verify_token", "inner", lambda out: out[0])
+        wrap("priv_ot_verify_token", "inner", bool)
         return steps
 
     return install

@@ -42,6 +42,7 @@ from qtsl.encoding import (
 from qtsl.games import game_testability, ts_handle
 from qtsl.money import SignFailedError, check_verify, check_write, coin_mint, coin_verify
 from qtsl.primitives import DataError, ds_keygen
+from qtsl.privts import decode_priv_ot_key
 from qtsl.stack import (
     TsPublicKey,
     TsSecretKey,
@@ -141,13 +142,20 @@ def test_valid_samples_decode(kind):
         assert _decodes_or_data_error(DECODERS[kind], blob)
 
 
+# every decoder of untrusted bytes: the containers and the private key blob
+# a transferable token carries encrypted
+BYTES_DECODERS = dict(DECODERS, **{"priv-ot-key": decode_priv_ot_key})
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(DECODERS)), st.binary(max_size=200) | st.text(max_size=200).map(str.encode))
+@given(st.sampled_from(sorted(BYTES_DECODERS)), st.binary(max_size=200) | st.text(max_size=200).map(str.encode))
 @example("token", b"[" * 100_000)  # nesting deeper than the JSON parser's recursion limit
 @example("token", b'{"magic": ' + b"1" * 5000 + b"}")  # past the int-string length limit
 @example("report", b"\xff\xfe")
+@example("priv-ot-key", b"[" * 100_000)
+@example("priv-ot-key", b"1" * 5000)
 def test_decoders_raise_only_data_error_on_bytes(kind, data):
-    _decodes_or_data_error(DECODERS[kind], data)
+    _decodes_or_data_error(BYTES_DECODERS[kind], data)
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,7 +173,7 @@ def _verifies(kind, value):
     """The verifier's verdict on a decoded container, or None for kinds
     that have no verifier."""
     if kind == "token":
-        return ts_verify_token(PK, value, Random(0))[0]
+        return ts_verify_token(PK, value, Random(0))
     if kind == "signature":
         return ts_verify(PK, b"doc", value)
     if kind == "check":
@@ -209,7 +217,19 @@ def test_token_state_of_another_length_is_malformed():
     with pytest.raises(DataError):
         decode_token(json.dumps(obj).encode())
     obj["payload"]["tokens"][0]["state"] = state
-    assert ts_verify_token(PK, decode_token(json.dumps(obj).encode()), Random(0))[0]
+    assert ts_verify_token(PK, decode_token(json.dumps(obj).encode()), Random(0))
+
+
+@pytest.mark.parametrize("count", [3, 7, 9, 16])
+def test_token_with_another_component_count_is_malformed(count):
+    """A token must carry one component token per public component (8 at
+    toy-8); the decoder does not cut the longer list short."""
+    obj = json.loads(VALID["token"][0])
+    tokens = obj["payload"]["tokens"]
+    assert len(tokens) == 8
+    obj["payload"]["tokens"] = (tokens * 2)[:count]
+    with pytest.raises(DataError, match="component tokens"):
+        decode_token(json.dumps(obj).encode())
 
 
 FIELD_CODECS = [

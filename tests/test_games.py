@@ -29,12 +29,14 @@ from qtsl.games import (
     measure_and_guess_strategy,
     naive_double_sign_strategy,
     ot1_handle,
+    ot_handle,
     otr_handle,
     priv_ot1_handle,
     query_count_experiment,
     relation_statistics,
     same_pair_twice_strategy,
     spent_token_strategy,
+    tm_handle,
     ts_handle,
     wilson_interval,
 )
@@ -207,6 +209,33 @@ def test_unpredictability_two_tokens_disagree():
     rep = game_unpredictability(ts_handle(16, "toy-8", 8), trials=150, seed=9)
     assert rep.successes == 0
     assert rep.analytic == 0.0
+
+
+VERIFY_CONTRACT_HANDLES = {
+    "ot1": lambda: ot1_handle(16, 8),
+    "priv-ot1": lambda: priv_ot1_handle(16, 8),
+    "otr": lambda: otr_handle(16, 4, 8),
+    "ot": lambda: ot_handle(16, "toy-8", 8),
+    "ot-private": lambda: ot_handle(16, "toy-8", 8, private=True),
+    "ts": lambda: ts_handle(16, "toy-8", 8),
+    "tm": lambda: tm_handle(16, "toy-8", 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CONTRACT_HANDLES))
+def test_every_layer_verifier_answers_a_bool(name):
+    """Each layer's ``*_verify`` and ``*_verify_token`` answer a plain bool:
+    True on an honest signature and token, a bool under a foreign key."""
+    handle = VERIFY_CONTRACT_HANDLES[name]()
+    rng = Random(41)
+    pk, sk = handle.keygen(rng)
+    foreign_pk, _ = handle.keygen(rng)
+    assert handle.verify_token(pk, handle.token_gen(sk, rng), rng) is True
+    assert type(handle.verify_token(foreign_pk, handle.token_gen(sk, rng), rng)) is bool
+    doc = handle.random_doc(rng)
+    sig = next(s for s in (handle.sign(doc, handle.token_gen(sk, rng), rng) for _ in range(60)) if s)
+    assert handle.verify(pk, doc, sig) is True
+    assert type(handle.verify(foreign_pk, doc, sig)) is bool
 
 
 def test_private_games_mirror_public():

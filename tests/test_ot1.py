@@ -210,7 +210,7 @@ def test_verify_token_accepts_fresh_and_is_repeatable():
     pk, sk, rng = fresh(10)
     token = ot1_token_gen(sk)
     for _ in range(25):
-        ok, token = ot1_verify_token(pk, token, rng)
+        ok = ot1_verify_token(pk, token, rng)
         assert ok
     # still spendable afterwards
     sig = ot1_sign(0, token, rng)
@@ -231,7 +231,7 @@ def test_verify_token_rejects_wrong_key_state():
     rejected = 0
     for _ in range(60):
         alien = ot1_token_gen(other_sk)
-        ok, _ = ot1_verify_token(pk, alien, rng)
+        ok = ot1_verify_token(pk, alien, rng)
         rejected += not ok
     # overlap dim d gives accept probability 2^{2d-8} <= 1/4 for distinct keys
     assert rejected >= 30

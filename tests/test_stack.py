@@ -8,7 +8,6 @@ from qtsl.f2lin import F2Vector
 from qtsl.ot1 import TokenSpentError
 from qtsl.primitives import hash_eval
 from qtsl.stack import (
-    OtrSignature,
     OtSignature,
     TsSignature,
     encode_ot_public,
@@ -83,7 +82,7 @@ def test_otr_signature_reuse_on_other_doc_fails():
     rng = Random(3)
     pub, sec = otr_keygen(16, 4, rng, n_override=8)
     sig = retry_sign(otr_sign, "0000", otr_token_gen, sec, rng)
-    forged = OtrSignature("1111", sig.sigs)
+    forged = OtSignature(sig.sigs)
     assert not otr_verify(pub, "1111", forged)
 
 
@@ -91,7 +90,7 @@ def test_otr_verify_token_accepts_fresh():
     rng = Random(4)
     pub, sec = otr_keygen(16, 4, rng, n_override=8)
     token = otr_token_gen(sec)
-    ok, token = otr_verify_token(pub, token, rng)
+    ok = otr_verify_token(pub, token, rng)
     assert ok
     # and the token still signs afterwards
     sig = otr_sign("1010", token, rng)
@@ -102,7 +101,7 @@ def test_otr_verify_token_wrong_length():
     rng = Random(5)
     pub, _ = otr_keygen(16, 4, rng, n_override=8)
     _, other = otr_keygen(16, 3, rng, n_override=8)
-    ok, _ = otr_verify_token(pub, otr_token_gen(other), rng)
+    ok = otr_verify_token(pub, otr_token_gen(other), rng)
     assert not ok
 
 
@@ -129,16 +128,16 @@ def test_ot_sign_uses_digest_bits():
     alpha = hash_eval(pub.s, doc)
     sig = retry_sign(ot_sign, doc, ot_token_gen, sec, rng)
     # the component signatures verify exactly against the digest bit pattern
-    assert otr_verify(pub.otr, alpha, OtrSignature(alpha, tuple(sig.sigs)))
+    assert otr_verify(pub.otr, alpha, sig)
 
 
 def test_ot_verify_token_checks_index():
     rng = Random(8)
     pub, sec = ot_keygen(16, rng, hash_variant="toy-8", n_override=8)
     _, other_sec = ot_keygen(16, rng, hash_variant="toy-8", n_override=8)
-    ok, _ = ot_verify_token(pub, ot_token_gen(sec), rng)
+    ok = ot_verify_token(pub, ot_token_gen(sec), rng)
     assert ok
-    ok, _ = ot_verify_token(pub, ot_token_gen(other_sec), rng)
+    ok = ot_verify_token(pub, ot_token_gen(other_sec), rng)
     assert not ok  # different sampled index: rejected before any projection
 
 
@@ -176,8 +175,8 @@ def test_ts_rejects_uncertified_token():
             break
     assert sig is not None
     for _ in range(2):
-        assert not ts_verify_token(pk, token, rng)[0]
-        assert ts_verify_token(rogue_pk, token, rng)[0]
+        assert not ts_verify_token(pk, token, rng)
+        assert ts_verify_token(rogue_pk, token, rng)
         assert ts_verify(rogue_pk, b"doc", sig)
         assert not ts_verify(pk, b"doc", sig)  # chain certificate fails
 
@@ -186,9 +185,9 @@ def test_ts_tampered_chain_sig_rejected():
     rng = Random(11)
     pk, sk = ts_keygen(16, rng, hash_variant="toy-8", n_override=8)
     token = ts_token_gen(sk, rng)
-    assert ts_verify_token(pk, token, rng)[0]  # the honest verdict is kept on the key
+    assert ts_verify_token(pk, token, rng)  # the honest verdict is kept on the key
     token.chain_sig = bytes([token.chain_sig[0] ^ 1]) + token.chain_sig[1:]
-    ok, _ = ts_verify_token(pk, token, rng)
+    ok = ts_verify_token(pk, token, rng)
     assert not ok
 
 
@@ -197,7 +196,7 @@ def test_ts_verify_token_accepts_and_preserves():
     pk, sk = ts_keygen(16, rng, hash_variant="toy-8", n_override=8)
     token = ts_token_gen(sk, rng)
     for _ in range(10):
-        ok, token = ts_verify_token(pk, token, rng)
+        ok = ts_verify_token(pk, token, rng)
         assert ok
 
 
@@ -211,7 +210,7 @@ def test_ts_token_rechecks_verify_the_chain_once(monkeypatch):
     real = stack.ds_verify
     monkeypatch.setattr(stack, "ds_verify", lambda *args: calls.append(args) or real(*args))
     for _ in range(100):
-        assert ts_verify_token(pk, token, rng)[0]
+        assert ts_verify_token(pk, token, rng)
     assert len(calls) == 1
 
 
