@@ -17,7 +17,6 @@ from .f2lin import (
     canonicalize,
     dual,
     enumerate_subspaces,
-    gaussian_binomial,
     intersection_dim,
     member,
     sample_related,

@@ -60,8 +60,8 @@ from .primitives import (
 )
 from .qsim import CosetState
 from .stack import (
-    OtPublicKey,
-    OtrPublicKey,
+    OtKey,
+    OtrKey,
     OtrToken,
     OtSignature,
     OtToken,
@@ -199,14 +199,14 @@ def _enc_oracle(pk: MembershipOracle) -> dict:
     return {"space": encode_space(_hidden_space(pk)), "key_id": pk.key_id.hex()}
 
 
-def _enc_ot_public(pub: OtPublicKey) -> dict:
+def _enc_ot_public(pub: OtKey) -> dict:
     return {
         "s": pub.s.hex(),
         "components": [_enc_oracle(c) for c in pub.otr.components],
     }
 
 
-def _dec_ot_public(payload: dict) -> OtPublicKey:
+def _dec_ot_public(payload: dict) -> OtKey:
     comps = _list(payload, "components")
     if not comps:
         raise DataError("public key needs at least one component")
@@ -215,7 +215,7 @@ def _dec_ot_public(payload: dict) -> OtPublicKey:
             raise DataError("component must be an object")
     spaces = decode_spaces([_dict(c, "space") for c in comps])
     oracles = tuple(MembershipOracle(sp, _hex(c, "key_id")) for sp, c in zip(spaces, comps))
-    return OtPublicKey(_hex(payload, "s"), OtrPublicKey(oracles))
+    return OtKey(_hex(payload, "s"), OtrKey(oracles))
 
 
 def encode_public_key(pk: TsPublicKey) -> bytes:
@@ -485,8 +485,13 @@ def _doc_bytes(args) -> bytes:
 def _cmd_keygen(args) -> int:
     rng = Random(args.seed)
     pk, sk = ts_keygen(_kappa(args.kappa), rng, args.hash, args.ds, args.n)
+    try:  # never replace a key: that would reset a hash-chain key's next leaf
+        fd = os.open(args.secret_out, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    except OSError as exc:
+        raise DataError(f"cannot create {args.secret_out}: {exc.strerror or exc}") from exc
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(encode_secret_key(sk))
     _write(args.public_out, encode_public_key(pk))
-    _write(args.secret_out, encode_secret_key(sk))
     print(f"wrote public key to {args.public_out} and secret key to {args.secret_out}")
     return 0
 

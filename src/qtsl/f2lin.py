@@ -19,7 +19,6 @@ __all__ = [
     "DimensionError",
     "F2Vector",
     "Subspace",
-    "xor_add",
     "canonicalize",
     "dual",
     "member",
@@ -29,7 +28,6 @@ __all__ = [
     "sample_nonzero_element",
     "intersection_dim",
     "sample_related",
-    "gaussian_binomial",
     "enumerate_subspaces",
 ]
 
@@ -58,53 +56,20 @@ class F2Vector:
             raise ValueError(f"not a bit string: {text!r}")
         return cls(len(text), int(text, 2))
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "F2Vector":
-        value = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bad bit {b!r}")
-            value = (value << 1) | b
-        return cls(len(bits), value)
-
-    @classmethod
-    def zero(cls, n: int) -> "F2Vector":
-        return cls(n, 0)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.n - 1 - i)) & 1 for i in range(self.n))
-
-    def bit(self, i: int) -> int:
-        """Coordinate i, 0-based from the left."""
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.value >> (self.n - 1 - i)) & 1
-
-    def flip(self, i: int) -> "F2Vector":
-        """Return a copy with coordinate i (0-based from the left) toggled."""
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return F2Vector(self.n, self.value ^ (1 << (self.n - 1 - i)))
-
     def is_zero(self) -> bool:
         return self.value == 0
 
     def __xor__(self, other: "F2Vector") -> "F2Vector":
-        return xor_add(self, other)
+        """Coordinatewise sum over F2."""
+        if self.n != other.n:
+            raise DimensionError(f"length mismatch: {self.n} vs {other.n}")
+        return F2Vector(self.n, self.value ^ other.value)
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.n}b")
 
     def __repr__(self) -> str:
         return f"F2Vector({str(self)!r})"
-
-
-def xor_add(u: F2Vector, v: F2Vector) -> F2Vector:
-    """Coordinatewise sum over F2."""
-    if u.n != v.n:
-        raise DimensionError(f"length mismatch: {u.n} vs {v.n}")
-    return F2Vector(u.n, u.value ^ v.value)
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -262,9 +227,6 @@ class Subspace:
                 m >>= 1
                 i += 1
             yield F2Vector(self.ambient_n, acc)
-
-    def element_set(self) -> frozenset[F2Vector]:
-        return frozenset(self.elements())
 
     def __str__(self) -> str:
         return "\n".join(format(r, f"0{self.ambient_n}b") for r in self.rows)
@@ -429,21 +391,6 @@ def sample_related(space: Subspace, rng: Random) -> Subspace:
             break
     kept.append(v.value)
     return _trusted(n, _rref(kept))
-
-
-def gaussian_binomial(m: int, k: int) -> int:
-    """Number of k-dimensional subspaces of F2^m (exact integer)."""
-    if k < 0 or m < 0:
-        raise ValueError("m and k must be nonnegative")
-    if k > m:
-        return 0
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= (1 << (m - i)) - 1
-        den *= (1 << (k - i)) - 1
-    assert num % den == 0
-    return num // den
 
 
 def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:

@@ -26,8 +26,6 @@ from . import stack as _stack
 from .encoding import canonical_json, digest
 from .f2lin import (
     F2Vector,
-    Subspace,
-    canonicalize,
     dual,
     enumerate_subspaces,
     intersection_dim,
@@ -36,7 +34,7 @@ from .f2lin import (
     sample_related,
     sample_subspace,
 )
-from .ot1 import MembershipOracle, Ot1Signature, OracleWithheldError, withheld_twin
+from .ot1 import Ot1Signature, OracleWithheldError, withheld_twin
 from .primitives import hash_eval
 from .qsim import hadamard_all, measure_standard
 
@@ -72,8 +70,6 @@ __all__ = [
     "query_count_experiment",
     "relation_statistics",
     "two_faced_demo",
-    "fit_halving_slope",
-    "fit_scale_constant",
     "GAME_RUNNERS",
 ]
 
@@ -280,9 +276,9 @@ def priv_ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
 def otr_handle(
     kappa: int = 16, r: int = 4, n: int | None = 8, private: bool = False
 ) -> SchemeHandle:
-    def keygen(rng: Random) -> tuple[_stack.OtrPublicKey, _stack.OtrSecretKey]:
+    def keygen(rng: Random) -> tuple[_stack.OtrKey, _stack.OtrKey]:
         pub, sec = _stack.otr_keygen(kappa, r, rng, n)
-        return (_stack.OtrPublicKey(sec.components) if private else pub), sec
+        return (sec if private else pub), sec
 
     return SchemeHandle(
         name="otr-private" if private else "otr",
@@ -767,13 +763,6 @@ def query_count_experiment(
     return _report("query-count", params, trials, seed, head, extra={"curves": curves})
 
 
-def exhaustive_reconstruction(pk: MembershipOracle, n: int) -> tuple[Subspace, Subspace]:
-    """Recover the hidden subspace and its dual with 2^{n+1} oracle queries."""
-    in_a = [F2Vector(n, v) for v in range(1 << n) if pk.query(F2Vector(n, v), 0)]
-    in_b = [F2Vector(n, v) for v in range(1 << n) if pk.query(F2Vector(n, v), 1)]
-    return canonicalize(in_a, ambient_n=n), canonicalize(in_b, ambient_n=n)
-
-
 def relation_statistics(
     n: int = 8, trials: int = 100_000, seed: int = 3
 ) -> GameReport:
@@ -896,20 +885,6 @@ def two_faced_demo(
     )
     params = {"n": n, "kappa": kappa, "hash": hash_variant}
     return _report("two-faced", params, trials, seed, counts, extra={"transcript": transcript})
-
-
-def fit_halving_slope(rates: dict[int, float]) -> float:
-    """Zero-intercept least squares of log2(rate) against n: the slope of
-    the model rate = 2^(slope * n)."""
-    num = sum(n * math.log2(r) for n, r in rates.items() if r > 0)
-    den = sum(n * n for n in rates)
-    return num / den
-
-
-def fit_scale_constant(rates: dict[int, float]) -> float:
-    """Geometric-mean fit of c in rate = c * 2^(-n/2)."""
-    logs = [math.log2(r) + n / 2 for n, r in rates.items() if r > 0]
-    return 2.0 ** (sum(logs) / len(logs))
 
 
 GAME_RUNNERS: dict[str, Callable[..., GameReport]] = {}

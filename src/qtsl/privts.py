@@ -1,11 +1,12 @@
-"""Private-verification variants of the token schemes.
+"""Private keys for the generic stack, and transferable tokens built on them.
 
-Here the verifier holds the hidden subspace itself, so verification needs
-no oracle and no query accounting.  The top layer wraps the private
-hash-and-sign scheme into transferable tokens: each token carries its own
-single-use verification key, encrypted under a long-lived secret and
-authenticated with a MAC, and verification always checks the tag before
-decrypting anything.
+A private verification key is a keygen's secret one-bit keys: the verifier
+holds the hidden subspace itself, so verification needs no oracle and no
+query accounting, and ``ot1.one_bit_verify`` picks the private check from
+each component's type.  The top layer wraps private hash-and-sign keys into
+transferable tokens: each token carries its own single-use verification
+key, encrypted under a long-lived secret and authenticated with a MAC, and
+verification always checks the tag before decrypting anything.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .primitives import (
     mac_verify,
 )
 from .stack import (
-    OtPublicKey,
-    OtSecretKey,
+    OtKey,
+    OtrKey,
     OtSignature,
     OtToken,
-    OtrPublicKey,
     ot_keygen,
     ot_sign,
     ot_token_gen,
@@ -42,10 +42,6 @@ from .stack import (
 __all__ = [
     "priv_ot1_keygen",
     "priv_ot_keygen",
-    "priv_ot_token_gen",
-    "priv_ot_sign",
-    "priv_ot_verify",
-    "priv_ot_verify_token",
     "TmKey",
     "TmToken",
     "TmSignature",
@@ -58,11 +54,6 @@ __all__ = [
     "encode_priv_ot_key",
     "decode_priv_ot_key",
 ]
-
-
-# A private key is the public keygen's secret components used as the
-# verification key, for which ``ot1.one_bit_verify`` picks the private checks:
-# the private layers are the generic stack over keys holding private material.
 
 
 def priv_ot1_keygen(
@@ -79,18 +70,14 @@ def priv_ot_keygen(
     rng: Random,
     hash_variant: str = "sha256-256",
     n_override: int | None = None,
-) -> tuple[OtPublicKey, OtSecretKey]:
+) -> tuple[OtKey, OtKey]:
+    """Returns (verification key, signing key) — the same secret key twice,
+    as ``priv_ot1_keygen`` does."""
     _, sec = ot_keygen(kappa, rng, hash_variant, n_override)
-    return OtPublicKey(sec.s, OtrPublicKey(sec.otr.components)), sec
+    return sec, sec
 
 
-priv_ot_token_gen = ot_token_gen
-priv_ot_sign = ot_sign
-priv_ot_verify = ot_verify
-priv_ot_verify_token = ot_verify_token
-
-
-def encode_priv_ot_key(key: OtPublicKey) -> bytes:
+def encode_priv_ot_key(key: OtKey) -> bytes:
     """Canonical bytes of a private hash-and-sign key (this is secret
     material; it only ever travels encrypted)."""
     spaces = [encode_space(c.space) for c in key.otr.components]
@@ -100,7 +87,7 @@ def encode_priv_ot_key(key: OtPublicKey) -> bytes:
     )
 
 
-def decode_priv_ot_key(raw: bytes) -> OtPublicKey:
+def decode_priv_ot_key(raw: bytes) -> OtKey:
     obj = load_json(raw)
     if not isinstance(obj, dict) or obj.get("v") != 1 or obj.get("kind") != "priv-ot-key":
         raise DataError("not a private key blob")
@@ -113,7 +100,7 @@ def decode_priv_ot_key(raw: bytes) -> OtPublicKey:
     if len(spaces) != len(ids) or not spaces:
         raise DataError("bad private key component count")
     comps = tuple(Ot1SecretKey(sp, kid) for sp, kid in zip(spaces, ids))
-    return OtPublicKey(s, OtrPublicKey(comps))
+    return OtKey(s, OtrKey(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +149,18 @@ def tm_token_gen(key: TmKey, rng: Random) -> TmToken:
     inner_key, inner_sk = priv_ot_keygen(key.kappa, rng, key.hash_variant, key.n_override)
     blob = encrypt(key.enc_key, encode_priv_ot_key(inner_key), rng)
     tag = mac_tag(key.mac_key, blob)
-    return TmToken(blob, tag, priv_ot_token_gen(inner_sk))
+    return TmToken(blob, tag, ot_token_gen(inner_sk))
 
 
 def tm_sign(doc: bytes, token: TmToken, rng: Random) -> TmSignature | None:
     """Sign and attach the token's encrypted verification key and its tag."""
-    inner = priv_ot_sign(doc, token.ot_token, rng)
+    inner = ot_sign(doc, token.ot_token, rng)
     if inner is None:
         return None
     return TmSignature(token.key_blob, token.tag, inner)
 
 
-def _open_key_blob(key: TmKey, blob: bytes, tag: bytes) -> OtPublicKey | None:
+def _open_key_blob(key: TmKey, blob: bytes, tag: bytes) -> OtKey | None:
     """Tag check strictly before any decryption; None means reject.
 
     Opening is deterministic in (key, blob, tag), so the last blob opened is
@@ -184,7 +171,7 @@ def _open_key_blob(key: TmKey, blob: bytes, tag: bytes) -> OtPublicKey | None:
     last = key.__dict__.get("_opened")
     if last is not None and last[0] == asked:
         return last[1]
-    inner_key: OtPublicKey | None = None
+    inner_key: OtKey | None = None
     if mac_verify(key.mac_key, blob, tag):
         try:
             inner_key = decode_priv_ot_key(decrypt(key.enc_key, blob))
@@ -196,12 +183,12 @@ def _open_key_blob(key: TmKey, blob: bytes, tag: bytes) -> OtPublicKey | None:
 
 def tm_verify(key: TmKey, doc: bytes, sig: TmSignature) -> bool:
     inner_key = _open_key_blob(key, sig.key_blob, sig.tag)
-    return inner_key is not None and priv_ot_verify(inner_key, doc, sig.ot_sig)
+    return inner_key is not None and ot_verify(inner_key, doc, sig.ot_sig)
 
 
 def tm_verify_token(key: TmKey, token: TmToken, rng: Random) -> bool:
     inner_key = _open_key_blob(key, token.key_blob, token.tag)
-    return inner_key is not None and priv_ot_verify_token(inner_key, token.ot_token, rng)
+    return inner_key is not None and ot_verify_token(inner_key, token.ot_token, rng)
 
 
 def tm_revoke(key: TmKey, token: TmToken, rng: Random) -> bool:

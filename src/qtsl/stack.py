@@ -38,16 +38,14 @@ from .primitives import (
 )
 
 __all__ = [
-    "OtrPublicKey",
-    "OtrSecretKey",
+    "OtrKey",
     "OtrToken",
     "otr_keygen",
     "otr_token_gen",
     "otr_sign",
     "otr_verify",
     "otr_verify_token",
-    "OtPublicKey",
-    "OtSecretKey",
+    "OtKey",
     "OtToken",
     "OtSignature",
     "ot_keygen",
@@ -80,19 +78,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OtrPublicKey:
-    """One verification key per document bit: membership oracles, or the
-    one-bit secret keys for private verification."""
+class OtrKey:
+    """One one-bit key per document bit: membership oracles to verify
+    publicly, or the one-bit secret keys to mint tokens or verify
+    privately."""
 
-    components: tuple[Any, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.components)
-
-
-@dataclass(frozen=True)
-class OtrSecretKey:
     components: tuple[Any, ...]
 
     @property
@@ -123,7 +113,7 @@ def otr_keygen(
     r: int,
     rng: Random,
     n_override: int | None = None,
-) -> tuple[OtrPublicKey, OtrSecretKey]:
+) -> tuple[OtrKey, OtrKey]:
     """r independent one-bit keys, one per document bit."""
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -132,10 +122,10 @@ def otr_keygen(
         pk, sk = _ot1.ot1_keygen(kappa, rng, n_override)
         pub.append(pk)
         sec.append(sk)
-    return OtrPublicKey(tuple(pub)), OtrSecretKey(tuple(sec))
+    return OtrKey(tuple(pub)), OtrKey(tuple(sec))
 
 
-def otr_token_gen(sk: OtrSecretKey) -> OtrToken:
+def otr_token_gen(sk: OtrKey) -> OtrToken:
     return OtrToken([_ot1.ot1_token_gen(c) for c in sk.components])
 
 
@@ -149,7 +139,7 @@ def otr_sign(alpha: str, token: OtrToken, rng: Random) -> OtSignature | None:
     return OtSignature(tuple(s.sig for s in sigs))
 
 
-def otr_verify(pub: OtrPublicKey, alpha: str, sig: OtSignature) -> bool:
+def otr_verify(pub: OtrKey, alpha: str, sig: OtSignature) -> bool:
     if not isinstance(sig, OtSignature):
         return False
     try:
@@ -164,7 +154,7 @@ def otr_verify(pub: OtrPublicKey, alpha: str, sig: OtSignature) -> bool:
     )
 
 
-def otr_verify_token(pub: OtrPublicKey, token: OtrToken, rng: Random) -> bool:
+def otr_verify_token(pub: OtrKey, token: OtrToken, rng: Random) -> bool:
     """Every component token must pass its test; all are tested, even after
     one fails, so each is left in its post-test state."""
     if len(token.tokens) != pub.r:
@@ -181,13 +171,14 @@ def otr_verify_token(pub: OtrPublicKey, token: OtrToken, rng: Random) -> bool:
 
 
 @dataclass(frozen=True)
-class OtPublicKey:
-    s: bytes
-    otr: OtrPublicKey
+class OtKey:
+    """A hash index and the r-fold key over its digest bits.  Only a key over
+    membership oracles has an encoding (``encode_ot_public``) and can carry
+    a chain certificate; one over secret components reaches bytes only
+    encrypted (``privts.encode_priv_ot_key``)."""
 
-    @property
-    def r(self) -> int:
-        return self.otr.r
+    s: bytes
+    otr: OtrKey
 
     @cached_property
     def _encoded(self) -> bytes:
@@ -210,12 +201,6 @@ class OtPublicKey:
         return ok
 
 
-@dataclass(frozen=True)
-class OtSecretKey:
-    s: bytes
-    otr: OtrSecretKey
-
-
 @dataclass
 class OtToken:
     s: bytes
@@ -227,16 +212,16 @@ def ot_keygen(
     rng: Random,
     hash_variant: str = "sha256-256",
     n_override: int | None = None,
-) -> tuple[OtPublicKey, OtSecretKey]:
+) -> tuple[OtKey, OtKey]:
     """Hash-and-sign keys: a sampled hash index plus one component key per
     digest bit."""
     s = hash_index(kappa, rng, hash_variant)
     r = hash_bits(s)
     pub, sec = otr_keygen(kappa, r, rng, n_override)
-    return OtPublicKey(s, pub), OtSecretKey(s, sec)
+    return OtKey(s, pub), OtKey(s, sec)
 
 
-def ot_token_gen(sk: OtSecretKey) -> OtToken:
+def ot_token_gen(sk: OtKey) -> OtToken:
     return OtToken(sk.s, otr_token_gen(sk.otr))
 
 
@@ -244,11 +229,11 @@ def ot_sign(doc: bytes, token: OtToken, rng: Random) -> OtSignature | None:
     return otr_sign(hash_eval(token.s, doc), token.otr, rng)
 
 
-def ot_verify(pub: OtPublicKey, doc: bytes, sig: OtSignature) -> bool:
+def ot_verify(pub: OtKey, doc: bytes, sig: OtSignature) -> bool:
     return otr_verify(pub.otr, hash_eval(pub.s, doc), sig)
 
 
-def ot_verify_token(pub: OtPublicKey, token: OtToken, rng: Random) -> bool:
+def ot_verify_token(pub: OtKey, token: OtToken, rng: Random) -> bool:
     """Token check: the token's hash index must equal the key's, then every
     component token must pass projection."""
     return token.s == pub.s and otr_verify_token(pub.otr, token.otr, rng)
@@ -277,19 +262,19 @@ class TsSecretKey:
 
 @dataclass
 class TsToken:
-    ot_public: OtPublicKey
+    ot_public: OtKey
     chain_sig: bytes
     ot_token: OtToken
 
 
 @dataclass(frozen=True)
 class TsSignature:
-    ot_public: OtPublicKey
+    ot_public: OtKey
     chain_sig: bytes
     ot_sig: OtSignature
 
 
-def encode_ot_public(pub: OtPublicKey) -> bytes:
+def encode_ot_public(pub: OtKey) -> bytes:
     """Canonical versioned bytes of a hash-and-sign public key.
 
     This is the exact message the chain signature covers and the preimage of

@@ -32,8 +32,8 @@ def record_tm_steps(monkeypatch):
 
         wrap("mac_verify", "mac", bool)
         wrap("decrypt", "decrypt", lambda _: True)
-        wrap("priv_ot_verify", "inner", bool)
-        wrap("priv_ot_verify_token", "inner", bool)
+        wrap("ot_verify", "inner", bool)
+        wrap("ot_verify_token", "inner", bool)
         return steps
 
     return install

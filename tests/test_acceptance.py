@@ -13,6 +13,7 @@ from random import Random
 
 import numpy as np
 from dense import dense_hadamard_all, hadamard_matrix, subspace_projector, to_dense
+from helpers import fit_halving_slope, flip, gaussian_binomial
 from seqharness import SEQUENCE_CLASSES, run_class
 
 from qtsl import games
@@ -21,7 +22,6 @@ from qtsl.f2lin import (
     Subspace,
     dual,
     enumerate_subspaces,
-    gaussian_binomial,
     intersection_dim,
     sample_related,
     sample_subspace,
@@ -29,7 +29,6 @@ from qtsl.f2lin import (
 from qtsl.games import (
     collision_forgery_strategy,
     derive_rng,
-    fit_halving_slope,
     game_revocability,
     game_testability,
     game_unforgeability,
@@ -305,7 +304,7 @@ def test_criterion_11_chain_binding():
     for i in range(333):  # one coordinate of one signature vector
         vecs = list(sig.ot_sig.sigs)
         j = rng.randrange(len(vecs))
-        vecs[j] = vecs[j].flip(rng.randrange(n))
+        vecs[j] = flip(vecs[j], rng.randrange(n))
         bad = TsSignature(sig.ot_public, sig.chain_sig, OtSignature(tuple(vecs)))
         accepted += ts_verify(pk, b"chain binding", bad)
     _report(11, "chain-binding", accepted == 0,

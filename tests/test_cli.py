@@ -289,7 +289,7 @@ def test_decoded_public_key_encodes_like_one_built_from_its_rows(n):
     """The row text a decoded key keeps is the text its rows format to."""
     from qtsl.f2lin import Subspace
     from qtsl.ot1 import MembershipOracle
-    from qtsl.stack import OtPublicKey, OtrPublicKey
+    from qtsl.stack import OtKey, OtrKey
 
     _, sk = ts_keygen(16, Random(8), "toy-8", None, n)
     back = decode_token(encode_token(ts_token_gen(sk, Random(25))))
@@ -298,7 +298,7 @@ def test_decoded_public_key_encodes_like_one_built_from_its_rows(n):
         MembershipOracle(Subspace.from_rows(n, space.rows), c.key_id)
         for space, c in zip(_spaces(back), pub.otr.components)
     ]
-    rebuilt = OtPublicKey(pub.s, OtrPublicKey(tuple(oracles)))
+    rebuilt = OtKey(pub.s, OtrKey(tuple(oracles)))
     assert encode_ot_public(pub) == encode_ot_public(rebuilt)
 
 
@@ -762,6 +762,27 @@ def test_cli_exhausted_hash_chain_key_exits_3(tmp_path, capsys, chain_key, comma
     assert "hash-chain key exhausted (1024/1024 leaves used); run keygen" in err
     assert sec.read_bytes() == before
     assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("ds", ["ed25519", "hash-chain"])
+def test_cli_keygen_never_replaces_a_secret_key(tmp_path, capsys, ds):
+    """The secret key is created private, and keygen refuses to run over an
+    existing one: over a minted hash-chain key it would set next_leaf back
+    and sign with a used Lamport leaf again.  It exits 2 and writes neither
+    key file."""
+    _, sec = _keys(tmp_path, "--ds", ds)
+    assert sec.stat().st_mode & 0o077 == 0
+    assert _qtsl("mint", "--secret-key", sec, "--out", tmp_path / "t", "--seed", 0) == 0
+    before = sec.read_bytes()
+    capsys.readouterr()
+    other_pub = tmp_path / "other.pk"
+    rc = _qtsl("keygen", "--kappa", 16, "--hash", "toy-8", "--n", 8, "--ds", ds,
+               "--public-out", other_pub, "--secret-out", sec, "--seed", 5)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sec.read_bytes() == before
+    assert decode_secret_key(before).ds_sk.next_leaf == (1 if ds == "hash-chain" else 0)
+    assert not other_pub.exists()
 
 
 def test_cli_mint_leaves_ed25519_key_untouched(tmp_path):

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import bit, element_set, flip, from_bits, gaussian_binomial, to_bits
 
 from qtsl.f2lin import (
     DimensionError,
@@ -13,7 +14,6 @@ from qtsl.f2lin import (
     canonicalize,
     dual,
     enumerate_subspaces,
-    gaussian_binomial,
     intersection_dim,
     member,
     member_or_dual,
@@ -38,23 +38,25 @@ def test_vector_string_roundtrip():
     v = F2Vector.from_string("010011")
     assert v.n == 6
     assert str(v) == "010011"
-    assert v.bits == (0, 1, 0, 0, 1, 1)
-    assert v.bit(0) == 0 and v.bit(1) == 1
-    assert F2Vector.from_bits([0, 1, 0, 0, 1, 1]) == v
+    assert to_bits(v) == (0, 1, 0, 0, 1, 1)
+    assert bit(v, 0) == 0 and bit(v, 1) == 1
+    assert from_bits([0, 1, 0, 0, 1, 1]) == v
 
 
 def test_vector_xor_and_flip():
     a = F2Vector.from_string("1100")
     b = F2Vector.from_string("0110")
     assert str(a ^ b) == "1010"
-    assert str(a.flip(3)) == "1101"
+    assert str(flip(a, 3)) == "1101"
     assert (a ^ a).is_zero()
     with pytest.raises(IndexError):
-        a.flip(4)
+        flip(a, 4)
+    with pytest.raises(DimensionError):
+        F2Vector(3, 1) ^ F2Vector(4, 1)
 
 
 def test_vector_zero():
-    z = F2Vector.zero(5)
+    z = F2Vector(5, 0)
     assert z.is_zero() and str(z) == "00000"
 
 
@@ -66,7 +68,7 @@ def test_vector_xor_group_laws(n, data):
     c = F2Vector(n, rng_bits())
     assert (a ^ b) ^ c == a ^ (b ^ c)
     assert a ^ b == b ^ a
-    assert a ^ F2Vector.zero(n) == a
+    assert a ^ F2Vector(n, 0) == a
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +156,7 @@ def test_dual_of_full_space_is_zero():
     full = canonicalize([F2Vector(3, 1), F2Vector(3, 2), F2Vector(3, 4)], ambient_n=3)
     d = dual(full)
     assert d.dim == 0
-    assert list(d.elements()) == [F2Vector.zero(3)]
+    assert list(d.elements()) == [F2Vector(3, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def test_intersection_dim_matches_enumeration(half, data):
     rng = Random(data.draw(st.integers(0, 2**32)))
     a = sample_subspace(n, rng)
     b = sample_subspace(n, rng)
-    common = a.element_set() & b.element_set()
+    common = element_set(a) & element_set(b)
     # |A ∩ B| = 2^dim of the intersection
     assert 1 << intersection_dim(a, b) == len(common)
     assert intersection_dim(a, b) == intersection_dim(b, a)
@@ -233,7 +235,7 @@ def test_enumerate_subspaces_35():
     assert len(spaces) == 35
     # each is closed under xor
     for s in spaces:
-        pts = s.element_set()
+        pts = element_set(s)
         for x in pts:
             for y in pts:
                 assert (x ^ y) in pts

@@ -5,6 +5,7 @@ import math
 from random import Random
 
 import pytest
+from helpers import exhaustive_reconstruction, fit_halving_slope, fit_scale_constant
 
 from qtsl.games import (
     GAME_RUNNERS,
@@ -16,9 +17,6 @@ from qtsl.games import (
     derive_rng,
     double_revoke_strategy,
     enumerate_consistent_strategy,
-    exhaustive_reconstruction,
-    fit_halving_slope,
-    fit_scale_constant,
     game_everlasting,
     game_revocability,
     game_super_security,

@@ -86,7 +86,7 @@ def test_withheld_twin_refuses():
     assert twin.mode == "withheld"
     assert twin.key_id == pk.key_id
     with pytest.raises(OracleWithheldError):
-        twin.query(F2Vector.zero(8), 0)
+        twin.query(F2Vector(8, 0), 0)
     # the underlying space is still the same key
     assert _hidden_space(twin) == sk.space
 
@@ -167,8 +167,8 @@ def test_failed_sign_still_spends():
 
 def test_verify_rejects_zero_vector():
     pk, _, _ = fresh(6)
-    assert not ot1_verify(pk, 0, F2Vector.zero(8))
-    assert not ot1_verify(pk, 1, F2Vector.zero(8))
+    assert not ot1_verify(pk, 0, F2Vector(8, 0))
+    assert not ot1_verify(pk, 1, F2Vector(8, 0))
 
 
 def test_verify_rejects_wrong_space():

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from qtsl.cli import encode_token
 from qtsl.f2lin import F2Vector, dual, member
 from qtsl.ot1 import (
     TokenSpentError,
@@ -19,16 +20,20 @@ from qtsl.privts import (
     encode_priv_ot_key,
     priv_ot1_keygen,
     priv_ot_keygen,
-    priv_ot_sign,
-    priv_ot_token_gen,
-    priv_ot_verify,
-    priv_ot_verify_token,
     tm_keygen,
     tm_revoke,
     tm_sign,
     tm_token_gen,
     tm_verify,
     tm_verify_token,
+)
+from qtsl.stack import (
+    TsToken,
+    encode_ot_public,
+    ot_sign,
+    ot_token_gen,
+    ot_verify,
+    ot_verify_token,
 )
 
 
@@ -71,7 +76,7 @@ def test_priv_sign_twice_raises():
 
 def test_priv_verify_rejects_zero_and_outside():
     key, _ = priv_ot1_keygen(16, Random(5), n_override=8)
-    assert not priv_ot1_verify(key, 0, F2Vector.zero(8))
+    assert not priv_ot1_verify(key, 0, F2Vector(8, 0))
     outside = next(
         F2Vector(8, x) for x in range(1, 256) if not member(key.space, F2Vector(8, x))
     )
@@ -114,13 +119,13 @@ def test_priv_ot_roundtrip():
     key, sk = priv_ot_keygen(16, rng, hash_variant="toy-8", n_override=8)
     sig = None
     for _ in range(40):
-        sig = priv_ot_sign(b"den", priv_ot_token_gen(sk), rng)
+        sig = ot_sign(b"den", ot_token_gen(sk), rng)
         if sig is not None:
             break
     assert sig is not None
-    assert priv_ot_verify(key, b"den", sig)
-    assert not priv_ot_verify(key, b"dew", sig)
-    ok = priv_ot_verify_token(key, priv_ot_token_gen(sk), rng)
+    assert ot_verify(key, b"den", sig)
+    assert not ot_verify(key, b"dew", sig)
+    ok = ot_verify_token(key, ot_token_gen(sk), rng)
     assert ok
 
 
@@ -133,6 +138,22 @@ def test_priv_key_blob_roundtrip():
     assert len(back.otr.components) == len(key.otr.components)
     for a, b in zip(back.otr.components, key.otr.components):
         assert a.space == b.space and a.key_id == b.key_id
+
+
+def test_private_key_reaches_bytes_only_encrypted(tmp_path):
+    """A hash-and-sign key over secret components has no public encoding:
+    the public encoder reads each component as a membership oracle, so both
+    it and a token container built over such a key raise before any byte
+    is written.  The key's only codec is the encrypted key blob."""
+    rng = Random(31)
+    key, _ = priv_ot_keygen(16, rng, hash_variant="toy-8", n_override=8)
+    out = tmp_path / "token.qtsl"
+    for k in (key, decode_priv_ot_key(encode_priv_ot_key(key))):
+        with pytest.raises(AttributeError):
+            encode_ot_public(k)
+        with pytest.raises(AttributeError):
+            out.write_bytes(encode_token(TsToken(k, b"", ot_token_gen(k))))
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -113,7 +113,7 @@ def test_otr_verify_token_wrong_length():
 def test_ot_roundtrip_and_hash_binding():
     rng = Random(6)
     pub, sec = ot_keygen(16, rng, hash_variant="toy-16", n_override=8)
-    assert pub.r == 16
+    assert pub.otr.r == 16
     doc = b"pay to carol 5"
     sig = retry_sign(ot_sign, doc, ot_token_gen, sec, rng)
     assert ot_verify(pub, doc, sig)
