@@ -28,6 +28,7 @@ import tempfile
 from pathlib import Path
 from random import Random
 
+from . import games, money  # lazy: loaded by the commands that use them
 from .encoding import (
     canonical_json,
     decode_spaces,
@@ -38,16 +39,6 @@ from .encoding import (
     encode_vector,
     load_json,
 )
-from .games import GAME_RUNNERS, GameReport
-from .money import (
-    Coin,
-    SignFailedError,
-    check_verify,
-    check_write,
-    coin_mint,
-    simulate_bank,
-)
-from .money import Check
 from .ot1 import MembershipOracle, Ot1Token, TokenSpentError, _hidden_space
 from .primitives import (
     HASH_VARIANTS,
@@ -357,7 +348,7 @@ def decode_signature(data: bytes) -> TsSignature:
     return _sig_from_payload(unwrap_container(data, "signature")[1])
 
 
-def encode_check(check: Check) -> bytes:
+def encode_check(check: money.Check) -> bytes:
     payload = {
         "payee": check.payee,
         "branch_id": check.branch_id,
@@ -368,7 +359,7 @@ def encode_check(check: Check) -> bytes:
     return wrap_container("check", payload)
 
 
-def decode_check(data: bytes) -> Check:
+def decode_check(data: bytes) -> money.Check:
     _, payload = unwrap_container(data, "check")
     branch_id = _need(payload, "branch_id", int)
     timestamp = _need(payload, "timestamp", int)
@@ -380,20 +371,20 @@ def decode_check(data: bytes) -> Check:
     if len(nonce) != 16:
         raise DataError("nonce must be 16 bytes")
     sig = _sig_from_payload(_dict(payload, "signature"))
-    return Check(_need(payload, "payee", str), branch_id, timestamp, nonce, sig)
+    return money.Check(_need(payload, "payee", str), branch_id, timestamp, nonce, sig)
 
 
-def encode_coin(coin: Coin) -> bytes:
+def encode_coin(coin: money.Coin) -> bytes:
     return wrap_container("coin", {"serial": coin.serial, "token": _token_payload(coin.token)})
 
 
-def decode_coin(data: bytes) -> Coin:
+def decode_coin(data: bytes) -> money.Coin:
     _, payload = unwrap_container(data, "coin")
     token = _token_from_payload(_dict(payload, "token"))
-    return Coin(_need(payload, "serial", str), token)
+    return money.Coin(_need(payload, "serial", str), token)
 
 
-def _report_container(report: GameReport) -> bytes:
+def _report_container(report: games.GameReport) -> bytes:
     return wrap_container("report", json.loads(report.to_json().decode("utf-8")))
 
 
@@ -565,7 +556,7 @@ def _cmd_mint_coin(args) -> int:
     coin = _locked_update(
         args.secret_key,
         decode_secret_key,
-        lambda sk: coin_mint(sk, Random(args.seed)),
+        lambda sk: money.coin_mint(sk, Random(args.seed)),
         encode_secret_key,
     )
     _write(args.out, encode_coin(coin))
@@ -574,11 +565,11 @@ def _cmd_mint_coin(args) -> int:
 
 
 def _cmd_check_write(args) -> int:
-    def write(coin: Coin) -> Check | None:
+    def write(coin: money.Coin) -> money.Check | None:
         _require_fresh(coin.token)
         try:
-            return check_write(coin, args.payee, args.branch, args.time, Random(args.seed))
-        except SignFailedError:
+            return money.check_write(coin, args.payee, args.branch, args.time, Random(args.seed))
+        except money.SignFailedError:
             return None  # the coin is burned either way
 
     check = _locked_update(args.coin, decode_coin, write, encode_coin)
@@ -593,14 +584,14 @@ def _cmd_check_write(args) -> int:
 def _cmd_check_verify(args) -> int:
     pk = decode_public_key(_read(args.public_key))
     check = decode_check(_read(args.check))
-    ok = check_verify(pk, check)
+    ok = money.check_verify(pk, check)
     print("ACCEPT" if ok else "REJECT")
     return 0 if ok else 1
 
 
 def _cmd_bank_sim(args) -> int:
     text = _read(args.scenario).decode("utf-8", errors="replace")
-    ledger, stats = simulate_bank(
+    ledger, stats = money.simulate_bank(
         text, Random(args.seed), _kappa(args.kappa), args.hash, args.n
     )
     for ev in ledger:
@@ -618,11 +609,10 @@ def _cmd_bank_sim(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    if args.name not in GAME_RUNNERS:
-        raise DataError(
-            f"unknown game {args.name!r}; choose from {sorted(GAME_RUNNERS)}"
-        )
-    report = GAME_RUNNERS[args.name](
+    runners = games.GAME_RUNNERS
+    if args.name not in runners:
+        raise DataError(f"unknown game {args.name!r}; choose from {sorted(runners)}")
+    report = runners[args.name](
         n=args.n, ell=args.l, trials=args.trials, seed=args.seed, kappa=_kappa(args.kappa)
     )
     print(report.to_json().decode("utf-8"))
@@ -784,9 +774,6 @@ def main(argv: list[str] | None = None) -> int:
     except (TokenSpentError, KeyExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SignFailedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, TypeError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,10 +10,11 @@ where an rng is passed in explicitly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 from typing import Iterable, Iterator, Sequence
+
+from .record import FrozenRecord, set_field
 
 __all__ = [
     "DimensionError",
@@ -36,18 +37,39 @@ class DimensionError(ValueError):
     """Vector lengths or subspace ambients that do not line up."""
 
 
-@dataclass(frozen=True, order=True)
-class F2Vector:
-    """A vector in F2^n, packed into an int (coordinate 1 is the MSB)."""
+class F2Vector(FrozenRecord):
+    """A vector in F2^n, packed into an int (coordinate 1 is the MSB).
+    Vectors order like their ``(n, value)`` tuples."""
 
+    _fields = ("n", "value")
     n: int
     value: int
 
-    def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise DimensionError(f"vector length must be positive, got {self.n}")
-        if self.value < 0 or self.value.bit_length() > self.n:  # no 2^n int built
-            raise ValueError(f"value {self.value} out of range for length {self.n}")
+    def __init__(self, n: int, value: int) -> None:
+        if n <= 0:
+            raise DimensionError(f"vector length must be positive, got {n}")
+        if value < 0 or value.bit_length() > n:  # no 2^n int built
+            raise ValueError(f"value {value} out of range for length {n}")
+        set_field(self, "n", n)
+        set_field(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.value))
+
+    def __lt__(self, other: "F2Vector") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.value) < (other.n, other.value)
+
+    def __le__(self, other: "F2Vector") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.value) <= (other.n, other.value)
 
     @classmethod
     def from_string(cls, text: str) -> "F2Vector":

@@ -11,7 +11,6 @@ a signing failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 
 from .f2lin import DimensionError, F2Vector, Subspace, member_or_dual, sample_subspace
@@ -22,6 +21,7 @@ from .qsim import (
     prepare_subspace_state,
     project_subspace,
 )
+from .record import FrozenRecord, Record, set_field
 
 __all__ = [
     "MembershipOracle",
@@ -120,29 +120,40 @@ def withheld_twin(pk: MembershipOracle) -> MembershipOracle:
     return MembershipOracle(_hidden_space(pk), pk.key_id, mode="withheld")
 
 
-@dataclass(frozen=True)
-class Ot1SecretKey:
+class Ot1SecretKey(FrozenRecord):
+    _fields = ("space", "key_id")
     space: Subspace
     key_id: bytes
+
+    def __init__(self, space: Subspace, key_id: bytes) -> None:
+        set_field(self, "space", space)
+        set_field(self, "key_id", key_id)
 
     def __repr__(self) -> str:
         return f"Ot1SecretKey(n={self.space.ambient_n}, key_id={self.key_id.hex()[:8]}...)"
 
 
-@dataclass
-class Ot1Token:
+class Ot1Token(Record):
     """Mutable carrier for one token: the state plus lifecycle metadata."""
 
-    state: CosetState
-    key_id: bytes
-    lifecycle: str = "fresh"  # "fresh" | "spent"
+    _fields = ("state", "key_id", "lifecycle")
+
+    def __init__(self, state: CosetState, key_id: bytes, lifecycle: str = "fresh") -> None:
+        self.state = state
+        self.key_id = key_id
+        self.lifecycle = lifecycle  # "fresh" | "spent"
 
 
-@dataclass(frozen=True)
-class Ot1Signature:
+class Ot1Signature(FrozenRecord):
+    _fields = ("alpha", "sig", "key_id")
     alpha: int
     sig: F2Vector
     key_id: bytes
+
+    def __init__(self, alpha: int, sig: F2Vector, key_id: bytes) -> None:
+        set_field(self, "alpha", alpha)
+        set_field(self, "sig", sig)
+        set_field(self, "key_id", key_id)
 
 
 def ot1_keygen(

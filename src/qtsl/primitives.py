@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
+
+from .record import FrozenRecord, Record, set_field
 
 __all__ = [
     "HASH_VARIANTS",
@@ -133,10 +134,14 @@ def default_ds_algo() -> str:
     return "ed25519" if _HAVE_ED25519 else "hash-chain"
 
 
-@dataclass(frozen=True)
-class DsPublicKey:
+class DsPublicKey(FrozenRecord):
+    _fields = ("algo", "material")
     algo: str
     material: bytes
+
+    def __init__(self, algo: str, material: bytes) -> None:
+        set_field(self, "algo", algo)
+        set_field(self, "material", material)
 
     @cached_property
     def _ed25519(self):
@@ -144,14 +149,22 @@ class DsPublicKey:
         return Ed25519PublicKey.from_public_bytes(self.material)
 
 
-@dataclass
-class DsSecretKey:
-    algo: str
-    material: bytes
-    # hash-chain signing is stateful: next unused leaf index
-    next_leaf: int = 0
-    capacity_log2: int = 0
-    _tree: list | None = field(default=None, repr=False)
+class DsSecretKey(Record):
+    _fields = ("algo", "material", "next_leaf", "capacity_log2", "_tree")
+
+    def __init__(
+        self,
+        algo: str,
+        material: bytes,
+        next_leaf: int = 0,  # hash-chain signing is stateful: next unused leaf index
+        capacity_log2: int = 0,
+        _tree: list | None = None,
+    ) -> None:
+        self.algo = algo
+        self.material = material
+        self.next_leaf = next_leaf
+        self.capacity_log2 = capacity_log2
+        self._tree = _tree
 
     @cached_property
     def _ed25519(self):

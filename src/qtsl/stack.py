@@ -17,7 +17,6 @@ type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 from typing import Any, Callable
@@ -36,6 +35,7 @@ from .primitives import (
     hash_eval,
     hash_index,
 )
+from .record import FrozenRecord, Record, set_field
 
 __all__ = [
     "OtrKey",
@@ -77,30 +77,38 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OtrKey:
+class OtrKey(FrozenRecord):
     """One one-bit key per document bit: membership oracles to verify
     publicly, or the one-bit secret keys to mint tokens or verify
     privately."""
 
+    _fields = ("components",)
     components: tuple[Any, ...]
+
+    def __init__(self, components: tuple[Any, ...]) -> None:
+        set_field(self, "components", components)
 
     @property
     def r(self) -> int:
         return len(self.components)
 
 
-@dataclass
-class OtrToken:
-    tokens: list
+class OtrToken(Record):
+    _fields = ("tokens",)
+
+    def __init__(self, tokens: list) -> None:
+        self.tokens = tokens
 
 
-@dataclass(frozen=True)
-class OtSignature:
+class OtSignature(FrozenRecord):
     """One vector per document bit; the r-fold product and hash-and-sign
     layers share it."""
 
+    _fields = ("sigs",)
     sigs: tuple[F2Vector, ...]
+
+    def __init__(self, sigs: tuple[F2Vector, ...]) -> None:
+        set_field(self, "sigs", sigs)
 
 
 def _check_alpha(alpha: str, r: int) -> None:
@@ -170,15 +178,19 @@ def otr_verify_token(pub: OtrKey, token: OtrToken, rng: Random) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OtKey:
+class OtKey(FrozenRecord):
     """A hash index and the r-fold key over its digest bits.  Only a key over
     membership oracles has an encoding (``encode_ot_public``) and can carry
     a chain certificate; one over secret components reaches bytes only
     encrypted (``privts.encode_priv_ot_key``)."""
 
+    _fields = ("s", "otr")
     s: bytes
     otr: OtrKey
+
+    def __init__(self, s: bytes, otr: OtrKey) -> None:
+        set_field(self, "s", s)
+        set_field(self, "otr", otr)
 
     @cached_property
     def _encoded(self) -> bytes:
@@ -201,10 +213,12 @@ class OtKey:
         return ok
 
 
-@dataclass
-class OtToken:
-    s: bytes
-    otr: OtrToken
+class OtToken(Record):
+    _fields = ("s", "otr")
+
+    def __init__(self, s: bytes, otr: OtrToken) -> None:
+        self.s = s
+        self.otr = otr
 
 
 def ot_keygen(
@@ -244,34 +258,53 @@ def ot_verify_token(pub: OtKey, token: OtToken, rng: Random) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TsPublicKey:
+class TsPublicKey(FrozenRecord):
+    _fields = ("ds_pk", "kappa", "hash_variant", "n_override")
     ds_pk: DsPublicKey
     kappa: int
     hash_variant: str
-    n_override: int | None = None
+    n_override: int | None
+
+    def __init__(
+        self, ds_pk: DsPublicKey, kappa: int, hash_variant: str, n_override: int | None = None
+    ) -> None:
+        set_field(self, "ds_pk", ds_pk)
+        set_field(self, "kappa", kappa)
+        set_field(self, "hash_variant", hash_variant)
+        set_field(self, "n_override", n_override)
 
 
-@dataclass
-class TsSecretKey:
-    ds_sk: DsSecretKey
-    kappa: int
-    hash_variant: str
-    n_override: int | None = None
+class TsSecretKey(Record):
+    _fields = ("ds_sk", "kappa", "hash_variant", "n_override")
+
+    def __init__(
+        self, ds_sk: DsSecretKey, kappa: int, hash_variant: str, n_override: int | None = None
+    ) -> None:
+        self.ds_sk = ds_sk
+        self.kappa = kappa
+        self.hash_variant = hash_variant
+        self.n_override = n_override
 
 
-@dataclass
-class TsToken:
-    ot_public: OtKey
-    chain_sig: bytes
-    ot_token: OtToken
+class TsToken(Record):
+    _fields = ("ot_public", "chain_sig", "ot_token")
+
+    def __init__(self, ot_public: OtKey, chain_sig: bytes, ot_token: OtToken) -> None:
+        self.ot_public = ot_public
+        self.chain_sig = chain_sig
+        self.ot_token = ot_token
 
 
-@dataclass(frozen=True)
-class TsSignature:
+class TsSignature(FrozenRecord):
+    _fields = ("ot_public", "chain_sig", "ot_sig")
     ot_public: OtKey
     chain_sig: bytes
     ot_sig: OtSignature
+
+    def __init__(self, ot_public: OtKey, chain_sig: bytes, ot_sig: OtSignature) -> None:
+        set_field(self, "ot_public", ot_public)
+        set_field(self, "chain_sig", chain_sig)
+        set_field(self, "ot_sig", ot_sig)
 
 
 def encode_ot_public(pub: OtKey) -> bytes:

@@ -524,6 +524,21 @@ def test_cli_check_flow(tmp_path):
                  "--time", 778, "--out", check, "--seed", 0) == 3
 
 
+def test_cli_check_write_zero_outcome_burns_the_coin(tmp_path, capsys):
+    _, sec = _keys(tmp_path)
+    coin, check = tmp_path / "coin", tmp_path / "check"
+    assert _qtsl("mint-coin", "--secret-key", sec, "--out", coin, "--seed", 0) == 0
+    capsys.readouterr()
+    # seed 0 measures a zero outcome for this coin
+    assert _qtsl("check-write", "--coin", coin, "--payee", "alice", "--branch", 3,
+                 "--time", 777, "--out", check, "--seed", 0) == 1
+    assert "coin is burned" in capsys.readouterr().err
+    assert not check.exists()
+    assert all(t.lifecycle == "spent" for t in one_bit_tokens(decode_coin(coin.read_bytes()).token))
+    assert _qtsl("check-write", "--coin", coin, "--payee", "alice", "--branch", 3,
+                 "--time", 777, "--out", check, "--seed", 1) == 3
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -928,3 +943,41 @@ def test_cli_import_does_not_load_numpy():
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
         )
         assert out.stdout.strip().endswith(want), (code, out.stdout)
+
+
+# what a process has loaded: stdlib modules the package must not pull in,
+# and which of the lazily registered modules have run
+_LOADED = """
+import sys
+heavy = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+ran = [m for m in ("games", "money", "privts")
+       if type(sys.modules[f"qtsl.{m}"]).__name__ != "_LazyModule"]
+print(heavy, ran)
+"""
+
+
+def test_cli_readme_commands_run_only_the_modules_they_use(tmp_path):
+    """`import qtsl`, `import qtsl.cli` and each README command, each in a
+    fresh interpreter, load neither `dataclasses` nor `inspect` and leave
+    `games`, `money` and `privts` unexecuted."""
+    import subprocess
+    import sys
+
+    pk, sk, tok, sig = (str(tmp_path / name) for name in ("pk", "sk", "tok", "sig"))
+    commands = [
+        ["keygen", "--kappa", "16", "--hash", "toy-8", "--n", "8",
+         "--public-out", pk, "--secret-out", sk, "--seed", "5"],
+        ["mint", "--secret-key", sk, "--out", tok, "--seed", "1"],
+        ["verify-token", "--public-key", pk, "--token", tok],
+        ["sign", "--token", tok, "--text", "pay bob 5", "--out", sig, "--seed", "1"],
+        ["verify", "--public-key", pk, "--text", "pay bob 5", "--signature", sig],
+    ]
+    probes = ["import qtsl", "import qtsl.cli"] + [
+        f"from qtsl.cli import main\nassert main({argv!r}) == 0" for argv in commands
+    ]
+    for code in probes:
+        out = subprocess.run(
+            [sys.executable, "-c", code + _LOADED],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[] []", (code, out.stdout)

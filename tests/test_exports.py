@@ -1,11 +1,11 @@
 """Every exported name resolves: each ``qtsl.*`` module's ``__all__`` and
-every name the package ``__init__`` imports.  Catches exports left behind
-when code is deleted.  The package is located without importing it, so a
-stale import in ``__init__`` fails a test here instead of collection."""
+every name in the package's lazy name table, each in the module the table
+names.  Catches exports left behind when code is deleted."""
 
-import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,16 +23,33 @@ def test_module_all_resolves(name):
 
 
 def test_package_imports_resolve():
-    imported = [
-        (node.module, alias.name)
-        for node in ast.parse(INIT.read_text()).body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert imported
+    import qtsl
+
+    table = qtsl._EXPORTS
+    assert table and sorted(qtsl.__all__) == sorted(table)
     missing = [
         f"qtsl.{mod}.{attr}"
-        for mod, attr in imported
+        for attr, mod in table.items()
         if not hasattr(importlib.import_module(f"qtsl.{mod}"), attr)
     ]
     assert missing == []
+    assert all(
+        getattr(qtsl, attr) is getattr(sys.modules[f"qtsl.{mod}"], attr)
+        for attr, mod in table.items()
+    )
+
+
+def test_package_namespace():
+    import qtsl
+
+    assert set(qtsl.__all__) <= set(dir(qtsl))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qtsl.no_such_name
+    namespace: dict = {}
+    exec("from qtsl import *", namespace)
+    assert set(qtsl.__all__) <= set(namespace)
+    assert namespace["F2Vector"] is qtsl.f2lin.F2Vector
+    # a module nothing has imported yet is imported on first use
+    fresh = "import qtsl; print(qtsl.stack.ts_sign.__module__)"
+    out = subprocess.run([sys.executable, "-c", fresh], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "qtsl.stack"

@@ -295,13 +295,14 @@ def test_branch_cash_wrong_length_vectors_rejected():
     import dataclasses
 
     from qtsl.f2lin import F2Vector
+    from qtsl.stack import OtSignature, TsSignature
 
     pk, sk, rng = bank(9)
     br = ledger_branch(pk)
     check = write_ok(lambda: coin_mint(sk, rng), "bob", 7, T0, rng)
-    ot_sig = check.signature.ot_sig
-    short = tuple(F2Vector(v.n - 2, v.value >> 2) for v in ot_sig.sigs)
-    sig = dataclasses.replace(check.signature, ot_sig=dataclasses.replace(ot_sig, sigs=short))
+    good = check.signature
+    short = tuple(F2Vector(v.n - 2, v.value >> 2) for v in good.ot_sig.sigs)
+    sig = TsSignature(good.ot_public, good.chain_sig, OtSignature(short))
     _, ev = branch_cash(br, dataclasses.replace(check, signature=sig), T0, rng)
     assert ev.kind == "RejectBadSignature"
     assert not br.cashed

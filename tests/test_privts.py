@@ -28,6 +28,7 @@ from qtsl.privts import (
     tm_verify_token,
 )
 from qtsl.stack import (
+    OtSignature,
     TsToken,
     encode_ot_public,
     ot_sign,
@@ -315,5 +316,5 @@ def test_tm_verify_rejects_wrong_length_vectors():
             break
     assert sig is not None and tm_verify(key, b"doc", sig)
     short = tuple(F2Vector(v.n - 2, v.value >> 2) for v in sig.ot_sig.sigs)
-    bad = dataclasses.replace(sig, ot_sig=dataclasses.replace(sig.ot_sig, sigs=short))
+    bad = dataclasses.replace(sig, ot_sig=OtSignature(short))
     assert tm_verify(key, b"doc", bad) is False
