@@ -1,9 +1,10 @@
-"""Canonical byte encodings for keys, tokens, signatures and checks.
+"""Canonical JSON and the codecs for vectors, subspaces and states.
 
 Everything that gets chain-signed, digested or written to disk goes through
 the canonical JSON form produced here: sorted keys, no whitespace, ASCII
 only.  Bit vectors serialize as '0'/'1' strings (leftmost coordinate first)
 up to 64 coordinates and as hex with an explicit bit length beyond that.
+The key, token, signature, check and coin containers live in ``qtsl.container``.
 """
 
 from __future__ import annotations

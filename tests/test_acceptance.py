@@ -17,7 +17,8 @@ from helpers import fit_halving_slope, flip, gaussian_binomial
 from seqharness import SEQUENCE_CLASSES, run_class
 
 from qtsl import games
-from qtsl.cli import main, unwrap_container
+from qtsl.cli import main
+from qtsl.container import unwrap_container
 from qtsl.f2lin import (
     Subspace,
     dual,

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtsl.cli import (
+from qtsl.cli import main
+from qtsl.container import (
     CONTAINER_KINDS,
     decode_check,
     decode_coin,
@@ -29,7 +30,6 @@ from qtsl.cli import (
     encode_secret_key,
     encode_signature,
     encode_token,
-    main,
     unwrap_container,
     wrap_container,
 )
@@ -102,6 +102,8 @@ def _container(**overrides) -> bytes:
         _container(magic="QTSK"),
         _container(version=2),
         _container(version="1"),
+        _container(version=True),  # a version has one spelling: the integer
+        _container(version=1.0),
         _container(kind="voucher"),
         _container(secrecy="SECRET"),  # label does not match the kind
         _container(payload=[]),
@@ -331,16 +333,19 @@ def test_signature_vector_length_is_not_allocated(keypair):
     assert peak < 1 << 20
 
 
-def test_check_roundtrip(keypair):
-    pk, sk = keypair
-    check = None
+def _written_check(sk):
+    """A check to "alice" at branch 3, from the first seed that signs."""
     for seed in range(60):
         try:
-            check = check_write(coin_mint(sk, Random(seed)), "alice", 3, 777, Random(seed))
-            break
+            return check_write(coin_mint(sk, Random(seed)), "alice", 3, 777, Random(seed))
         except SignFailedError:
             continue
-    assert check is not None
+    raise AssertionError("no seed signed a check")
+
+
+def test_check_roundtrip(keypair):
+    pk, sk = keypair
+    check = _written_check(sk)
     blob = encode_check(check)
     back = decode_check(blob)
     assert encode_check(back) == blob
@@ -367,16 +372,21 @@ def test_check_roundtrip(keypair):
     ],
 )
 def test_check_rejects_bad_fields(keypair, twist):
-    pk, sk = keypair
-    for seed in range(60):
-        try:
-            check = check_write(coin_mint(sk, Random(seed)), "alice", 3, 777, Random(seed))
-            break
-        except SignFailedError:
-            continue
-    blob = encode_check(check)
+    blob = encode_check(_written_check(keypair[1]))
     with pytest.raises(DataError):
         decode_check(_twisted(blob, **twist))
+
+
+def test_check_payee_the_document_cannot_spell_is_malformed(tmp_path, keypair):
+    """A lone surrogate has no percent-escape in the signed check document:
+    decoding refuses it, so `check-verify` exits 2 before any verifier runs."""
+    pk, sk = keypair
+    blob = _twisted(encode_check(_written_check(sk)), payee="\ud800")
+    with pytest.raises(DataError):
+        decode_check(blob)
+    (tmp_path / "pk").write_bytes(encode_public_key(pk))
+    (tmp_path / "check").write_bytes(blob)
+    assert _qtsl("check-verify", "--public-key", tmp_path / "pk", "--check", tmp_path / "check") == 2
 
 
 def test_coin_roundtrip(keypair):
@@ -832,6 +842,116 @@ CASH 1 ch1
 """
 
 
+class _Cut(BaseException):
+    """The process dies here: `main` catches no `BaseException`."""
+
+
+def _cut_durable_writes(monkeypatch, cut_at):
+    """Count the calls to `os.fsync`, `os.replace` and `Path.write_bytes`
+    as `qtsl.cli` sees them; call number ``cut_at`` raises `_Cut` instead."""
+    import qtsl.cli as cli
+
+    calls = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            if len(calls) - 1 == cut_at:
+                raise _Cut(name)
+            return original(*args, **kwargs)
+
+        return call
+
+    for owner, name in ((cli.os, "fsync"), (cli.os, "replace"), (cli.Path, "write_bytes")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def crash_files(tmp_path_factory):
+    """File name -> bytes: a hash-chain key pair (toy-8, n 8), a fresh
+    token, a token that signed and a fresh coin."""
+    d = tmp_path_factory.mktemp("crash")
+    pub, sec = _keys(d, "--ds", "hash-chain")
+    for name, command in (("tok", "mint"), ("spent", "mint"), ("coin", "mint-coin")):
+        assert _qtsl(command, "--secret-key", sec, "--out", d / name, "--seed", 0) == 0
+    assert _qtsl("sign", "--token", d / "spent", "--text", "x", "--out", d / "sig",
+                 "--seed", 0) in (0, 1)
+    return {"pk": pub.read_bytes(), "sk": sec.read_bytes(),
+            **{name: (d / name).read_bytes() for name in ("tok", "spent", "coin")}}
+
+
+def _crash_case(command, d, seed):
+    """(argv, state file, output file or None) of one command run in ``d``."""
+    pk, sk, tok, spent, coin, out = (d / n for n in ("pk", "sk", "tok", "spent", "coin", "out"))
+    argv, state, output = {
+        "mint": (["mint", "--secret-key", sk, "--out", out], sk, out),
+        "mint-coin": (["mint-coin", "--secret-key", sk, "--out", out], sk, out),
+        "sign": (["sign", "--token", tok, "--text", "x", "--out", out], tok, out),
+        "check-write": (["check-write", "--coin", coin, "--payee", "alice", "--branch", 3,
+                         "--time", 777, "--out", out], coin, out),
+        "verify-token": (["verify-token", "--public-key", pk, "--token", spent], spent, None),
+        "revoke": (["revoke", "--public-key", pk, "--token", tok], tok, None),
+    }[command]
+    return [*argv, "--seed", seed], state, output
+
+
+def _minted_leaf(path) -> bytes:
+    """The hash-chain leaf index that certified a token or coin file."""
+    blob = path.read_bytes()
+    token = decode_coin(blob).token if unwrap_container(blob)[0] == "coin" else decode_token(blob)
+    return token.chain_sig[:4]
+
+
+@pytest.mark.parametrize(
+    "command", ["mint", "mint-coin", "sign", "check-write", "verify-token", "revoke"]
+)
+def test_cli_crash_at_any_durable_write_leaves_old_or_new_state(
+    tmp_path, monkeypatch, crash_files, command
+):
+    """Cut the command at each call of a durable write in turn.  The state
+    file then decodes and holds its old or its new bytes; an output file
+    exists only beside the new (spent or advanced) state; and re-running
+    `mint` on the hash-chain key never signs with a leaf already used."""
+    decoders = {"sk": decode_secret_key, "tok": decode_token, "spent": decode_token,
+                "coin": decode_coin}
+
+    def scene(name):
+        d = tmp_path / name
+        d.mkdir()
+        for file, blob in crash_files.items():
+            (d / file).write_bytes(blob)
+        return d
+
+    # an uncut run gives the new state and the calls to cut, from the
+    # first seed whose signing succeeds
+    for seed in range(60):
+        argv, state, out = _crash_case(command, scene(f"uncut{seed}"), seed)
+        with monkeypatch.context() as m:
+            calls = _cut_durable_writes(m, None)
+            assert _qtsl(*argv) in (0, 1)
+        if out is None or out.exists():
+            break
+    old, new = crash_files[state.name], state.read_bytes()
+    assert old != new and calls
+    for k in range(len(calls)):
+        argv, state, out = _crash_case(command, scene(f"cut{k}"), seed)
+        with monkeypatch.context() as m:
+            _cut_durable_writes(m, k)
+            with pytest.raises(_Cut):
+                _qtsl(*argv)
+        held = state.read_bytes()
+        assert held in (old, new), (k, calls[k])
+        decoders[state.name](held)
+        if out is not None and out.exists():
+            assert held == new, (k, calls[k])
+        if state.name == "sk":
+            again = state.parent / "again"
+            assert _qtsl("mint", "--secret-key", state, "--out", again, "--seed", 1) == 0
+            leaves = [_minted_leaf(p) for p in (out, again) if p.exists()]
+            assert len(set(leaves)) == len(leaves), (k, calls[k])
+
+
 def test_cli_bank_sim(tmp_path, capsys):
     path = tmp_path / "scenario.txt"
     path.write_text(BANK_SCENARIO)
@@ -957,9 +1077,10 @@ print(heavy, ran)
 
 
 def test_cli_readme_commands_run_only_the_modules_they_use(tmp_path):
-    """`import qtsl`, `import qtsl.cli` and each README command, each in a
-    fresh interpreter, load neither `dataclasses` nor `inspect` and leave
-    `games`, `money` and `privts` unexecuted."""
+    """`import qtsl`, `import qtsl.cli`, `import qtsl.container` and each
+    README command, each in a fresh interpreter, load neither `dataclasses`
+    nor `inspect` and leave `games`, `money` and `privts` unexecuted; the
+    container format loads no `argparse` either."""
     import subprocess
     import sys
 
@@ -972,7 +1093,8 @@ def test_cli_readme_commands_run_only_the_modules_they_use(tmp_path):
         ["sign", "--token", tok, "--text", "pay bob 5", "--out", sig, "--seed", "1"],
         ["verify", "--public-key", pk, "--text", "pay bob 5", "--signature", sig],
     ]
-    probes = ["import qtsl", "import qtsl.cli"] + [
+    container = "import sys, qtsl.container\nassert 'argparse' not in sys.modules"
+    probes = ["import qtsl", "import qtsl.cli", container] + [
         f"from qtsl.cli import main\nassert main({argv!r}) == 0" for argv in commands
     ]
     for code in probes:

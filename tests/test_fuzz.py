@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtsl.cli import (
+from qtsl.container import (
     CONTAINER_KINDS,
     decode_check,
     decode_coin,

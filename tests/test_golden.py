@@ -13,7 +13,8 @@ from random import Random
 
 import pytest
 
-from qtsl.cli import (
+from qtsl.cli import main as cli_main
+from qtsl.container import (
     decode_check,
     decode_coin,
     decode_token,
@@ -22,7 +23,6 @@ from qtsl.cli import (
     encode_signature,
     encode_token,
 )
-from qtsl.cli import main as cli_main
 from qtsl.encoding import canonical_json
 from qtsl.games import (
     GAME_RUNNERS,

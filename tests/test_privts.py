@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from qtsl.cli import encode_token
+from qtsl.container import encode_token
 from qtsl.f2lin import F2Vector, dual, member
 from qtsl.ot1 import (
     TokenSpentError,
