@@ -40,7 +40,7 @@ _EXPORTS = {
             "ot1",
             "MembershipOracle OracleWithheldError Ot1Signature Ot1Token TokenSpentError"
             " default_dimension ot1_keygen ot1_measure ot1_revoke ot1_sign ot1_token_gen"
-            " ot1_verify ot1_verify_token priv_ot1_verify withheld_twin",
+            " ot1_verify ot1_verify_token withheld_twin",
         ),
         (
             "primitives",
@@ -54,7 +54,7 @@ _EXPORTS = {
         ),
         (
             "privts",
-            "TmKey TmSignature TmToken priv_ot1_keygen tm_keygen tm_revoke tm_sign"
+            "TmKey TmSignature TmToken tm_keygen tm_revoke tm_sign"
             " tm_token_gen tm_verify tm_verify_token",
         ),
         (

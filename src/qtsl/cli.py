@@ -78,14 +78,21 @@ def _write(path: str, data: bytes) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _partial(path: str) -> Path:
+    """The temporary file ``_replace_durably`` writes beside ``path``."""
+    target = Path(path)
+    return target.with_name(f".{target.name}.qtsl-partial")
+
+
 def _replace_durably(path: str, data: bytes) -> None:
     """Write ``data`` to a temporary file, fsync it, then rename it over
     ``path``: a crash leaves either the old file or the new one, never a
-    truncated key."""
+    truncated key.  Only ``_locked_update`` calls this, under the path's
+    lock, so the temporary file has one fixed name and one writer."""
     target = Path(path)
-    tmp = None
+    tmp = _partial(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
@@ -97,8 +104,7 @@ def _replace_durably(path: str, data: bytes) -> None:
         finally:
             os.close(dir_fd)
     except OSError as exc:
-        if tmp is not None:
-            Path(tmp).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
@@ -112,7 +118,9 @@ def _locked_update(path: str, decode, step, encode):
     ``<path>.lock`` sidecar (the file itself is replaced, so its inode
     cannot carry the lock), and the new state is on disk before the caller
     writes any signature, check, token or coin.  A step that raises leaves
-    the file as it was.
+    the file as it was.  A temporary file found under the lock was left by
+    a writer that died, so it is deleted (for a hash-chain key it is a copy
+    of the secret key).
     """
     import fcntl  # POSIX only; every other command runs without it
 
@@ -123,6 +131,7 @@ def _locked_update(path: str, decode, step, encode):
         raise DataError(f"cannot lock {path}: {exc.strerror or exc}") from exc
     try:
         fcntl.flock(lock_fd, fcntl.LOCK_EX)
+        _partial(path).unlink(missing_ok=True)
         old = _read(path)
         value = decode(old)
         result = step(value)

@@ -246,6 +246,17 @@ class SchemeHandle:
     withhold: Callable[[Any], Any] | None = None
 
 
+def _private(handle: SchemeHandle, name: str) -> SchemeHandle:
+    """``handle`` over private keys: the secret key is also the verification
+    key, and there is no oracle to withhold."""
+
+    def keygen(rng: Random) -> tuple[Any, Any]:
+        _, sec = handle.keygen(rng)
+        return sec, sec
+
+    return replace(handle, name=name, keygen=keygen, withhold=None)
+
+
 def ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
     return SchemeHandle(
         name="ot1",
@@ -255,35 +266,25 @@ def ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
         sign=_ot1.ot1_sign,
         verify=lambda key, doc, sig: isinstance(sig, Ot1Signature)
         and sig.alpha == doc
-        and _ot1.one_bit_verify(key, doc, sig.sig),
+        and _ot1.ot1_verify(key, doc, sig.sig),
         random_doc=lambda rng: rng.getrandbits(1),
-        verify_token=_ot1.one_bit_verify_token,
+        verify_token=_ot1.ot1_verify_token,
         sig_bytes=lambda sig: f"{sig.alpha}:{sig.sig}".encode(),
         withhold=withheld_twin,
     )
 
 
 def priv_ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
-    """The ot1 handle over private keys; there is no oracle to withhold."""
-    return replace(
-        ot1_handle(kappa, n),
-        name="priv-ot1",
-        keygen=lambda rng: _privts.priv_ot1_keygen(kappa, rng, n),
-        withhold=None,
-    )
+    return _private(ot1_handle(kappa, n), "priv-ot1")
 
 
 def otr_handle(
     kappa: int = 16, r: int = 4, n: int | None = 8, private: bool = False
 ) -> SchemeHandle:
-    def keygen(rng: Random) -> tuple[_stack.OtrKey, _stack.OtrKey]:
-        pub, sec = _stack.otr_keygen(kappa, r, rng, n)
-        return (sec if private else pub), sec
-
-    return SchemeHandle(
-        name="otr-private" if private else "otr",
+    handle = SchemeHandle(
+        name="otr",
         params={"kappa": kappa, "r": r, "n": n},
-        keygen=keygen,
+        keygen=lambda rng: _stack.otr_keygen(kappa, r, rng, n),
         token_gen=lambda sk, rng: _stack.otr_token_gen(sk),
         sign=_stack.otr_sign,
         verify=_stack.otr_verify,
@@ -291,6 +292,7 @@ def otr_handle(
         verify_token=_stack.otr_verify_token,
         sig_bytes=lambda sig: repr(sig.sigs).encode(),
     )
+    return _private(handle, "otr-private") if private else handle
 
 
 def ot_handle(
@@ -299,11 +301,10 @@ def ot_handle(
     n: int | None = 8,
     private: bool = False,
 ) -> SchemeHandle:
-    keygen = _privts.priv_ot_keygen if private else _stack.ot_keygen
-    return SchemeHandle(
-        name="ot-private" if private else "ot",
+    handle = SchemeHandle(
+        name="ot",
         params={"kappa": kappa, "hash": hash_variant, "n": n},
-        keygen=lambda rng: keygen(kappa, rng, hash_variant, n),
+        keygen=lambda rng: _stack.ot_keygen(kappa, rng, hash_variant, n),
         token_gen=lambda sk, rng: _stack.ot_token_gen(sk),
         sign=_stack.ot_sign,
         verify=_stack.ot_verify,
@@ -311,6 +312,7 @@ def ot_handle(
         verify_token=_stack.ot_verify_token,
         sig_bytes=lambda sig: repr(sig.sigs).encode(),
     )
+    return _private(handle, "ot-private") if private else handle
 
 
 def ts_handle(

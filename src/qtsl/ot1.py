@@ -6,6 +6,10 @@ token is the uniform superposition over A.  Signing bit 0 measures the token
 directly, signing bit 1 measures it in the Hadamard basis, so one token
 yields one verifiable (bit, vector) pair and the zero outcome is treated as
 a signing failure.
+
+In the private variant the verifier holds the subspace itself: an
+``Ot1SecretKey`` answers the same membership queries, uncounted, so
+``ot1_verify`` and ``ot1_verify_token`` take either key.
 """
 
 from __future__ import annotations
@@ -37,10 +41,6 @@ __all__ = [
     "ot1_sign",
     "ot1_verify",
     "ot1_verify_token",
-    "priv_ot1_verify",
-    "priv_ot1_verify_token",
-    "one_bit_verify",
-    "one_bit_verify_token",
     "ot1_revoke",
     "withheld_twin",
 ]
@@ -129,6 +129,12 @@ class Ot1SecretKey(FrozenRecord):
         set_field(self, "space", space)
         set_field(self, "key_id", key_id)
 
+    def query(self, v: F2Vector, p: int) -> int:
+        """Membership bit of v in the subspace (p=0) or its dual (p=1): the
+        holder of the subspace answers ``MembershipOracle.query`` itself,
+        with no mode and no count."""
+        return member_or_dual(self.space, v, p)
+
     def __repr__(self) -> str:
         return f"Ot1SecretKey(n={self.space.ambient_n}, key_id={self.key_id.hex()[:8]}...)"
 
@@ -161,8 +167,6 @@ def ot1_keygen(
 ) -> tuple[MembershipOracle, Ot1SecretKey]:
     """Sample a hidden subspace key; returns (public oracle, secret key)."""
     n = default_dimension(kappa) if n_override is None else n_override
-    if n < 2 or n % 2:
-        raise ValueError(f"token length must be even and >= 2, got {n}")
     space = sample_subspace(n, rng)
     key_id = rng.randbytes(KEY_ID_BYTES)
     return MembershipOracle(space, key_id), Ot1SecretKey(space, key_id)
@@ -209,65 +213,38 @@ def ot1_sign(alpha: int, token: Ot1Token, rng: Random) -> Ot1Signature | None:
     return Ot1Signature(alpha, outcome, token.key_id)
 
 
-def ot1_verify(pk: MembershipOracle, alpha: int, sig: F2Vector) -> bool:
-    """Accept iff the oracle confirms membership and the vector is nonzero.
+def ot1_verify(key: MembershipOracle | Ot1SecretKey, alpha: int, sig: F2Vector) -> bool:
+    """Accept iff the key confirms membership and the vector is nonzero.
 
-    Always consumes exactly one oracle query.  A vector of the wrong length
-    is rejected, never raised on.
+    An oracle is charged exactly one query; a secret key answers for
+    free.  A vector of the wrong length is rejected, never raised on.
     """
     try:
-        bit = pk.query(sig, 1 if alpha else 0)
+        bit = key.query(sig, 1 if alpha else 0)
     except DimensionError:
         return False
     return bool(bit) and not sig.is_zero()
 
 
-def ot1_verify_token(pk: MembershipOracle, token: Ot1Token, rng: Random) -> bool:
-    """Non-destructive token test: project onto the hidden subspace.
-
-    Costs two oracle queries (the projection is realized with one membership
-    round in each basis).  An accepted honest token is left unchanged and
-    stays usable; a rejected token is left with an untracked residual state.
-    """
-    if pk.mode != "public":
-        raise OracleWithheldError("oracle queries are withheld")
-    pk._charge(2)
-    accepted, token.state = project_subspace(token.state, _hidden_space(pk), rng)
-    return accepted
-
-
-def priv_ot1_verify(key: Ot1SecretKey, alpha: int, sig: F2Vector) -> bool:
-    """Private verification: a direct membership test against the key; zero
-    and vectors of the wrong length never verify."""
-    if sig.is_zero() or sig.n != key.space.ambient_n:
-        return False
-    return bool(member_or_dual(key.space, sig, 1 if alpha else 0))
-
-
-def priv_ot1_verify_token(key: Ot1SecretKey, token: Ot1Token, rng: Random) -> bool:
-    """Private token test: the projection of ``ot1_verify_token`` with no
-    oracle and no query accounting."""
-    accepted, token.state = project_subspace(token.state, key.space, rng)
-    return accepted
-
-
-def one_bit_verify(key: MembershipOracle | Ot1SecretKey, alpha: int, sig: F2Vector) -> bool:
-    """The check a key's type picks: ``priv_ot1_verify`` for a secret key
-    held as the verification key, ``ot1_verify`` for an oracle.  Both are
-    looked up by module name at call time, so a wrapper installed on this
-    module sees every call."""
-    if isinstance(key, Ot1SecretKey):
-        return priv_ot1_verify(key, alpha, sig)
-    return ot1_verify(key, alpha, sig)
-
-
-def one_bit_verify_token(
+def ot1_verify_token(
     key: MembershipOracle | Ot1SecretKey, token: Ot1Token, rng: Random
 ) -> bool:
-    """The token test a key's type picks, as in ``one_bit_verify``."""
+    """Non-destructive token test: project onto the key's subspace.
+
+    An oracle is charged two queries (the projection is realized with one
+    membership round in each basis) and a withheld one refuses; a secret
+    key projects for free.  An accepted honest token is left unchanged and
+    stays usable; a rejected token is left with an untracked residual state.
+    """
     if isinstance(key, Ot1SecretKey):
-        return priv_ot1_verify_token(key, token, rng)
-    return ot1_verify_token(key, token, rng)
+        space = key.space
+    else:
+        if key.mode != "public":
+            raise OracleWithheldError("oracle queries are withheld")
+        key._charge(2)
+        space = _hidden_space(key)
+    accepted, token.state = project_subspace(token.state, space, rng)
+    return accepted
 
 
 def ot1_revoke(key: MembershipOracle | Ot1SecretKey, token: Ot1Token, rng: Random) -> bool:
@@ -275,4 +252,4 @@ def ot1_revoke(key: MembershipOracle | Ot1SecretKey, token: Ot1Token, rng: Rando
     or private.  Consumes the token; returns whether verification accepted."""
     alpha = rng.getrandbits(1)
     outcome = ot1_measure(alpha, token, rng)
-    return outcome is not None and one_bit_verify(key, alpha, outcome)
+    return outcome is not None and ot1_verify(key, alpha, outcome)

@@ -107,11 +107,8 @@ def hash_kappa(s: bytes) -> int:
 
 def hash_eval(s: bytes, message: bytes) -> str:
     """Digest of ``message`` under index ``s`` as a '0'/'1' string of length r."""
-    r = hash_bits(s)
-    digest = _sha(s, message)
-    while len(digest) * 8 < r:
-        digest += _sha(s, digest)
-    bits = "".join(format(b, "08b") for b in digest)
+    r = hash_bits(s)  # at most 256: one SHA-256 output covers every variant
+    bits = "".join(format(b, "08b") for b in _sha(s, message))
     return bits[:r]
 
 

@@ -1,12 +1,12 @@
 """Private keys for the generic stack, and transferable tokens built on them.
 
-A private verification key is a keygen's secret one-bit keys: the verifier
-holds the hidden subspace itself, so verification needs no oracle and no
-query accounting, and ``ot1.one_bit_verify`` picks the private check from
-each component's type.  The top layer wraps private hash-and-sign keys into
-transferable tokens: each token carries its own single-use verification
-key, encrypted under a long-lived secret and authenticated with a MAC, and
-verification always checks the tag before decrypting anything.
+A private verification key is a keygen's secret key, held by the verifier:
+each one-bit component holds its hidden subspace and answers its own
+membership queries, with no oracle and no query accounting.  This module
+wraps private hash-and-sign keys into transferable tokens: each token
+carries its own single-use verification key, encrypted under a long-lived
+secret and authenticated with a MAC, and verification always checks the
+tag before decrypting anything.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .encoding import canonical_json, decode_spaces, encode_space, load_json
-from .ot1 import Ot1SecretKey, ot1_keygen
+from .ot1 import Ot1SecretKey
 from .primitives import (
     DataError,
     decrypt,
@@ -40,8 +40,6 @@ from .stack import (
 )
 
 __all__ = [
-    "priv_ot1_keygen",
-    "priv_ot_keygen",
     "TmKey",
     "TmToken",
     "TmSignature",
@@ -54,27 +52,6 @@ __all__ = [
     "encode_priv_ot_key",
     "decode_priv_ot_key",
 ]
-
-
-def priv_ot1_keygen(
-    kappa: int, rng: Random, n_override: int | None = None
-) -> tuple[Ot1SecretKey, Ot1SecretKey]:
-    """Returns (verification key, signing key) — the same secret key twice,
-    since private verification reads the subspace directly."""
-    _, key = ot1_keygen(kappa, rng, n_override)
-    return key, key
-
-
-def priv_ot_keygen(
-    kappa: int,
-    rng: Random,
-    hash_variant: str = "sha256-256",
-    n_override: int | None = None,
-) -> tuple[OtKey, OtKey]:
-    """Returns (verification key, signing key) — the same secret key twice,
-    as ``priv_ot1_keygen`` does."""
-    _, sec = ot_keygen(kappa, rng, hash_variant, n_override)
-    return sec, sec
 
 
 def encode_priv_ot_key(key: OtKey) -> bytes:
@@ -145,11 +122,13 @@ def tm_keygen(
 
 
 def tm_token_gen(key: TmKey, rng: Random) -> TmToken:
-    """Mint a token with its own fresh inner key, shipped encrypted+tagged."""
-    inner_key, inner_sk = priv_ot_keygen(key.kappa, rng, key.hash_variant, key.n_override)
+    """Mint a token with its own fresh inner key, shipped encrypted+tagged.
+    The inner secret key is both the blob's verification key and the
+    signing key."""
+    _, inner_key = ot_keygen(key.kappa, rng, key.hash_variant, key.n_override)
     blob = encrypt(key.enc_key, encode_priv_ot_key(inner_key), rng)
     tag = mac_tag(key.mac_key, blob)
-    return TmToken(blob, tag, ot_token_gen(inner_sk))
+    return TmToken(blob, tag, ot_token_gen(inner_key))
 
 
 def tm_sign(doc: bytes, token: TmToken, rng: Random) -> TmSignature | None:

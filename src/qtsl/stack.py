@@ -11,8 +11,7 @@ Three layers, each a standard transformation:
 
 The same code serves the oracle-based scheme and the private-key variant:
 a layer's verification key holds either membership oracles or the one-bit
-secret keys themselves, and ``ot1`` picks each component's check from its
-type.
+secret keys themselves, and both answer ``ot1``'s membership queries.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ def otr_verify(pub: OtrKey, alpha: str, sig: OtSignature) -> bool:
     if len(sig.sigs) != pub.r:
         return False
     return all(
-        _ot1.one_bit_verify(pk, int(bit_char), vec)
+        _ot1.ot1_verify(pk, int(bit_char), vec)
         for pk, bit_char, vec in zip(pub.components, alpha, sig.sigs)
     )
 
@@ -168,7 +167,7 @@ def otr_verify_token(pub: OtrKey, token: OtrToken, rng: Random) -> bool:
     if len(token.tokens) != pub.r:
         return False
     verdicts = [
-        _ot1.one_bit_verify_token(pk, tok, rng) for pk, tok in zip(pub.components, token.tokens)
+        _ot1.ot1_verify_token(pk, tok, rng) for pk, tok in zip(pub.components, token.tokens)
     ]
     return all(verdicts)
 
@@ -326,6 +325,10 @@ def ts_keygen(
     ds_algo: str | None = None,
     n_override: int | None = None,
 ) -> tuple[TsPublicKey, TsSecretKey]:
+    """The long-lived key pair.  A token length that no token could be
+    minted at is refused here, before any key exists."""
+    if n_override is not None and (n_override < 2 or n_override % 2):
+        raise ValueError(f"token length must be even and >= 2, got {n_override}")
     ds_pk, ds_sk = ds_keygen(kappa, rng, ds_algo)
     return (
         TsPublicKey(ds_pk, kappa, hash_variant, n_override),

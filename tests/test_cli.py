@@ -499,6 +499,16 @@ def test_cli_keygen_rejects_kappa_out_of_range(tmp_path, capsys, kappa):
     assert not pub.exists() and not sec.exists()
 
 
+@pytest.mark.parametrize("n", [7, 0, 1, -2])
+def test_cli_keygen_rejects_token_length_that_cannot_mint(tmp_path, capsys, n):
+    pub, sec = tmp_path / "pk", tmp_path / "sk"
+    capsys.readouterr()
+    assert _qtsl("keygen", "--kappa", 16, "--hash", "toy-8", "--n", n,
+                 "--public-out", pub, "--secret-out", sec) == 2
+    assert f"token length must be even and >= 2, got {n}" in capsys.readouterr().err
+    assert not pub.exists() and not sec.exists()
+
+
 def test_cli_revoke(tmp_path, capsys):
     pub, sec = _keys(tmp_path)
     token = tmp_path / "tok"
@@ -911,8 +921,9 @@ def test_cli_crash_at_any_durable_write_leaves_old_or_new_state(
 ):
     """Cut the command at each call of a durable write in turn.  The state
     file then decodes and holds its old or its new bytes; an output file
-    exists only beside the new (spent or advanced) state; and re-running
-    `mint` on the hash-chain key never signs with a leaf already used."""
+    exists only beside the new (spent or advanced) state; re-running
+    `mint` on the hash-chain key never signs with a leaf already used; and
+    the next command on the state file leaves no temporary file behind."""
     decoders = {"sk": decode_secret_key, "tok": decode_token, "spent": decode_token,
                 "coin": decode_coin}
 
@@ -950,6 +961,9 @@ def test_cli_crash_at_any_durable_write_leaves_old_or_new_state(
             assert _qtsl("mint", "--secret-key", state, "--out", again, "--seed", 1) == 0
             leaves = [_minted_leaf(p) for p in (out, again) if p.exists()]
             assert len(set(leaves)) == len(leaves), (k, calls[k])
+        else:
+            assert _qtsl(*argv) in (0, 1, 3)
+        assert [p.name for p in state.parent.iterdir() if p.name.startswith(".")] == []
 
 
 def test_cli_bank_sim(tmp_path, capsys):

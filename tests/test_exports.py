@@ -1,6 +1,7 @@
-"""Every exported name resolves: each ``qtsl.*`` module's ``__all__`` and
+"""Every exported name resolves: each ``qtsl.*`` module's ``__all__``,
 every name in the package's lazy name table, each in the module the table
-names.  Catches exports left behind when code is deleted."""
+names, and every function the bench tracer wraps.  Catches exports left
+behind, and tracer targets lost, when code is deleted."""
 
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 INIT = Path(importlib.util.find_spec("qtsl").origin)
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 MODULES = sorted(f"qtsl.{p.stem}" for p in INIT.parent.glob("*.py") if p.stem != "__init__")
 
 
@@ -53,3 +55,20 @@ def test_package_namespace():
     fresh = "import qtsl; print(qtsl.stack.ts_sign.__module__)"
     out = subprocess.run([sys.executable, "-c", fresh], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "qtsl.stack"
+
+
+def test_bench_tracer_targets_resolve():
+    """``bench/tracing.py`` wraps each ``(module, function)`` it lists, and
+    the oracle's ``query`` and ``_charge``, by name."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"qtsl.{mod}.{fn}"
+        for mod, fn in tracing.REPORTED + tracing.LAYER_ONLY
+        if not callable(getattr(importlib.import_module(f"qtsl.{mod}"), fn, None))
+    ]
+    assert missing == []
+    from qtsl.ot1 import MembershipOracle
+
+    assert callable(MembershipOracle.query) and callable(MembershipOracle._charge)

@@ -55,6 +55,14 @@ def test_vector_xor_and_flip():
         F2Vector(3, 1) ^ F2Vector(4, 1)
 
 
+def test_vector_range_checks():
+    with pytest.raises(DimensionError):
+        F2Vector(0, 0)
+    for value in (8, -1):
+        with pytest.raises(ValueError):
+            F2Vector(3, value)
+
+
 def test_vector_zero():
     z = F2Vector(5, 0)
     assert z.is_zero() and str(z) == "00000"

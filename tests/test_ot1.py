@@ -8,6 +8,7 @@ from qtsl.f2lin import F2Vector, dual, member
 from qtsl.ot1 import (
     MembershipOracle,
     OracleWithheldError,
+    Ot1Token,
     TokenSpentError,
     default_dimension,
     ot1_keygen,
@@ -19,6 +20,7 @@ from qtsl.ot1 import (
     withheld_twin,
 )
 from qtsl.ot1 import _hidden_space
+from qtsl.qsim import basis_state, phase_state
 
 
 def fresh(seed=0, n=8):
@@ -242,6 +244,28 @@ def test_verify_token_withheld_raises():
     token = ot1_token_gen(sk)
     with pytest.raises(OracleWithheldError):
         ot1_verify_token(withheld_twin(pk), token, rng)
+
+
+def test_secret_key_answers_like_its_oracle():
+    """Every vector of F2^4 with both bits: a secret key held as the
+    verification key gives its oracle's verdicts, the oracle is charged one
+    query per verify and two per token test, and the secret key nothing."""
+    pk, sk, _ = fresh(15, n=4)
+    d = dual(sk.space)
+    for x in range(16):
+        v = F2Vector(4, x)
+        for alpha, state in ((0, basis_state(v)), (1, phase_state(v))):
+            count = pk.query_count
+            verdict = ot1_verify(pk, alpha, v)
+            assert verdict == (x != 0 and member(d if alpha else sk.space, v))
+            assert ot1_verify(sk, alpha, v) == verdict
+            assert pk.query_count == count + 1
+            verdicts = [
+                ot1_verify_token(key, Ot1Token(state, sk.key_id), Random(x))
+                for key in (pk, sk)
+            ]
+            assert verdicts[0] == verdicts[1]
+            assert pk.query_count == count + 3
 
 
 def test_revoke_honest_token():

@@ -53,6 +53,13 @@ def test_hash_eval_shape_and_determinism():
     assert hash_eval(s, b"documenu") != out  # single byte change
 
 
+def test_every_hash_variant_fits_one_sha256_output():
+    """``hash_eval`` takes a digest's bits from a single SHA-256 output."""
+    assert max(HASH_VARIANTS.values()) <= 256
+    for variant, r in HASH_VARIANTS.items():
+        assert len(hash_eval(hash_index(16, Random(4), variant), b"doc")) == r
+
+
 def test_different_indexes_differ():
     s1 = hash_index(16, Random(2), "sha256-256")
     s2 = hash_index(16, Random(3), "sha256-256")

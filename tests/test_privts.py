@@ -6,20 +6,20 @@ import pytest
 
 from qtsl.container import encode_token
 from qtsl.f2lin import F2Vector, dual, member
+from qtsl.games import priv_ot1_handle
 from qtsl.ot1 import (
     TokenSpentError,
+    ot1_keygen,
     ot1_revoke,
     ot1_sign,
     ot1_token_gen,
-    priv_ot1_verify,
-    priv_ot1_verify_token,
+    ot1_verify,
+    ot1_verify_token,
 )
 from qtsl.primitives import DataError
 from qtsl.privts import (
     decode_priv_ot_key,
     encode_priv_ot_key,
-    priv_ot1_keygen,
-    priv_ot_keygen,
     tm_keygen,
     tm_revoke,
     tm_sign,
@@ -31,6 +31,7 @@ from qtsl.stack import (
     OtSignature,
     TsToken,
     encode_ot_public,
+    ot_keygen,
     ot_sign,
     ot_token_gen,
     ot_verify,
@@ -44,12 +45,12 @@ from qtsl.stack import (
 
 
 def test_priv_keygen_returns_same_key_twice():
-    vk, sk = priv_ot1_keygen(16, Random(0), n_override=8)
+    vk, sk = priv_ot1_handle(16, 8).keygen(Random(0))
     assert vk is sk  # verification reads the same secret
 
 
 def test_priv_sign_verify_both_bits():
-    key, _ = priv_ot1_keygen(16, Random(1), n_override=8)
+    _, key = ot1_keygen(16, Random(1), n_override=8)
     rng = Random(2)
     d = dual(key.space)
     for _ in range(40):
@@ -60,12 +61,12 @@ def test_priv_sign_verify_both_bits():
             continue
         vec = sig.sig
         assert member(d if alpha else key.space, vec)
-        assert priv_ot1_verify(key, alpha, vec)
+        assert ot1_verify(key, alpha, vec)
         assert token.lifecycle == "spent"
 
 
 def test_priv_sign_twice_raises():
-    key, _ = priv_ot1_keygen(16, Random(3), n_override=8)
+    _, key = ot1_keygen(16, Random(3), n_override=8)
     token = ot1_token_gen(key)
     rng = Random(4)
     ot1_sign(0, token, rng)
@@ -76,20 +77,20 @@ def test_priv_sign_twice_raises():
 
 
 def test_priv_verify_rejects_zero_and_outside():
-    key, _ = priv_ot1_keygen(16, Random(5), n_override=8)
-    assert not priv_ot1_verify(key, 0, F2Vector(8, 0))
+    _, key = ot1_keygen(16, Random(5), n_override=8)
+    assert not ot1_verify(key, 0, F2Vector(8, 0))
     outside = next(
         F2Vector(8, x) for x in range(1, 256) if not member(key.space, F2Vector(8, x))
     )
-    assert not priv_ot1_verify(key, 0, outside)
+    assert not ot1_verify(key, 0, outside)
 
 
 def test_priv_verify_token_and_revoke():
-    key, _ = priv_ot1_keygen(16, Random(6), n_override=8)
+    _, key = ot1_keygen(16, Random(6), n_override=8)
     rng = Random(7)
     token = ot1_token_gen(key)
     for _ in range(10):
-        ok = priv_ot1_verify_token(key, token, rng)
+        ok = ot1_verify_token(key, token, rng)
         assert ok
     accepted = sum(
         ot1_revoke(key, ot1_token_gen(key), rng) for _ in range(200)
@@ -98,13 +99,13 @@ def test_priv_verify_token_and_revoke():
 
 
 def test_priv_wrong_key_rejects_mostly():
-    key_a, _ = priv_ot1_keygen(16, Random(8), n_override=8)
-    key_b, _ = priv_ot1_keygen(16, Random(9), n_override=8)
+    _, key_a = ot1_keygen(16, Random(8), n_override=8)
+    _, key_b = ot1_keygen(16, Random(9), n_override=8)
     rng = Random(10)
     hits = 0
     for _ in range(200):
         sig = ot1_sign(0, ot1_token_gen(key_a), rng)
-        if sig is not None and priv_ot1_verify(key_b, 0, sig.sig):
+        if sig is not None and ot1_verify(key_b, 0, sig.sig):
             hits += 1
     # cross acceptance is the overlap fraction, far below half
     assert hits < 60
@@ -117,22 +118,22 @@ def test_priv_wrong_key_rejects_mostly():
 
 def test_priv_ot_roundtrip():
     rng = Random(11)
-    key, sk = priv_ot_keygen(16, rng, hash_variant="toy-8", n_override=8)
+    _, key = ot_keygen(16, rng, hash_variant="toy-8", n_override=8)
     sig = None
     for _ in range(40):
-        sig = ot_sign(b"den", ot_token_gen(sk), rng)
+        sig = ot_sign(b"den", ot_token_gen(key), rng)
         if sig is not None:
             break
     assert sig is not None
     assert ot_verify(key, b"den", sig)
     assert not ot_verify(key, b"dew", sig)
-    ok = ot_verify_token(key, ot_token_gen(sk), rng)
+    ok = ot_verify_token(key, ot_token_gen(key), rng)
     assert ok
 
 
 def test_priv_key_blob_roundtrip():
     rng = Random(12)
-    key, _ = priv_ot_keygen(16, rng, hash_variant="toy-8", n_override=8)
+    _, key = ot_keygen(16, rng, hash_variant="toy-8", n_override=8)
     raw = encode_priv_ot_key(key)
     back = decode_priv_ot_key(raw)
     assert back.s == key.s
@@ -147,7 +148,7 @@ def test_private_key_reaches_bytes_only_encrypted(tmp_path):
     it and a token container built over such a key raise before any byte
     is written.  The key's only codec is the encrypted key blob."""
     rng = Random(31)
-    key, _ = priv_ot_keygen(16, rng, hash_variant="toy-8", n_override=8)
+    _, key = ot_keygen(16, rng, hash_variant="toy-8", n_override=8)
     out = tmp_path / "token.qtsl"
     for k in (key, decode_priv_ot_key(encode_priv_ot_key(key))):
         with pytest.raises(AttributeError):
@@ -298,11 +299,11 @@ def test_tm_signature_is_selfcontained_for_verifier():
 
 
 def test_priv_verify_rejects_wrong_length_vector():
-    key, _ = priv_ot1_keygen(16, Random(6), n_override=8)
+    _, key = ot1_keygen(16, Random(6), n_override=8)
     inside = next(v for v in key.space.elements() if not v.is_zero())
     for wrong in (F2Vector(6, inside.value >> 2), F2Vector(10, inside.value << 2)):
-        assert priv_ot1_verify(key, 0, wrong) is False
-        assert priv_ot1_verify(key, 1, wrong) is False
+        assert ot1_verify(key, 0, wrong) is False
+        assert ot1_verify(key, 1, wrong) is False
 
 
 def test_tm_verify_rejects_wrong_length_vectors():
