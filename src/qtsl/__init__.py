@@ -38,9 +38,9 @@ _EXPORTS = {
         ),
         (
             "ot1",
-            "MembershipOracle OracleWithheldError Ot1Signature Ot1Token TokenSpentError"
-            " default_dimension ot1_keygen ot1_measure ot1_revoke ot1_sign ot1_token_gen"
-            " ot1_verify ot1_verify_token withheld_twin",
+            "MembershipOracle Ot1Signature Ot1Token TokenSpentError default_dimension"
+            " ot1_keygen ot1_measure ot1_revoke ot1_sign ot1_token_gen ot1_verify"
+            " ot1_verify_token",
         ),
         (
             "primitives",

@@ -10,6 +10,15 @@ discarded and re-run under the next derived stream.  Strategies use this to
 condition a measured rate on their visible honest steps succeeding (e.g. a
 forger whose first, legitimate signing attempt failed openly), which is the
 convention the analytic reference values in this module assume.
+
+This module alone enforces the threat model.  A strategy whose capability
+grants oracle access gets the public key itself as ``TrialContext.pk_view``.
+Any other strategy gets a stand-in of which every attribute read raises
+``CapabilityViolation``, whatever the handle: it holds no oracle, no secret
+key and no public material, so passing it to ``handle.verify`` or
+``handle.verify_token`` raises too.  Until the tokens become opaque registers,
+such a strategy still reaches through its tokens what they carry: a token's
+``state.space``, and a ``ts`` token's ``ot_public`` oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .f2lin import (
     sample_related,
     sample_subspace,
 )
-from .ot1 import Ot1Signature, OracleWithheldError, withheld_twin
+from .ot1 import Ot1Signature
 from .primitives import hash_eval
 from .qsim import hadamard_all, measure_standard
 
@@ -104,7 +113,11 @@ def derive_rng(seed: int, label: str, index: int) -> Random:
 
 @dataclass(frozen=True)
 class Capability:
-    """What a strategy is allowed to touch."""
+    """What a strategy is allowed to touch.
+
+    Without ``oracle_access`` its ``pk_view`` raises ``CapabilityViolation``
+    on every attribute read, but its tokens still carry ``state.space`` (and a
+    ``ts`` token its ``ot_public`` oracles) until they become opaque registers."""
 
     tokens: int = 1
     oracle_access: bool = True
@@ -173,11 +186,13 @@ def _trial_loop(
     label: str, trials: int, seed: int, trial: Callable[[Random], bool]
 ) -> tuple[int, int]:
     """Run attempt i on ``derive_rng(seed, label, i)`` until ``trials`` were
-    scored; return (successes, voided).
+    scored; return (successes, voided).  ``trials`` must be at least 1.
 
     The runaway guard counts only the voids since the last scored trial: a
     game whose usable draws are rare (two-faced at n = 4 keeps about 1 % of
     them) still finishes, while a strategy that never scores is stopped."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     successes = voided = streak = done = attempt = 0
     while done < trials:
         rng = derive_rng(seed, label, attempt)
@@ -230,9 +245,7 @@ class SchemeHandle:
     """Uniform access to one scheme layer for the games.
 
     ``sign`` may return None (failed signing); ``sig_bytes`` is the byte form
-    that distinct-pair scoring compares.  ``withhold`` maps a public key to a
-    view whose oracle queries refuse (only meaningful for the oracle scheme).
-    """
+    that distinct-pair scoring compares."""
 
     name: str
     params: dict
@@ -243,18 +256,16 @@ class SchemeHandle:
     random_doc: Callable[[Random], Any]
     verify_token: Callable[[Any, Any, Random], bool]
     sig_bytes: Callable[[Any], bytes]
-    withhold: Callable[[Any], Any] | None = None
 
 
 def _private(handle: SchemeHandle, name: str) -> SchemeHandle:
-    """``handle`` over private keys: the secret key is also the verification
-    key, and there is no oracle to withhold."""
+    """``handle`` over private keys: the secret key is also the verification key."""
 
     def keygen(rng: Random) -> tuple[Any, Any]:
         _, sec = handle.keygen(rng)
         return sec, sec
 
-    return replace(handle, name=name, keygen=keygen, withhold=None)
+    return replace(handle, name=name, keygen=keygen)
 
 
 def ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
@@ -270,7 +281,6 @@ def ot1_handle(kappa: int = 16, n: int | None = 8) -> SchemeHandle:
         random_doc=lambda rng: rng.getrandbits(1),
         verify_token=_ot1.ot1_verify_token,
         sig_bytes=lambda sig: f"{sig.alpha}:{sig.sig}".encode(),
-        withhold=withheld_twin,
     )
 
 
@@ -376,6 +386,16 @@ def _revoke_states(
     return True
 
 
+class _Withheld:
+    """A no-oracle strategy's ``pk_view``: reading any attribute raises, so
+    neither the strategy nor a verifier it calls can use it as a key."""
+
+    __slots__ = ()
+
+    def __getattribute__(self, name: str) -> Any:
+        raise CapabilityViolation(f"no oracle access: cannot read {name!r} of the public key")
+
+
 def _strategy_game(
     game: str,
     handle: SchemeHandle,
@@ -397,13 +417,8 @@ def _strategy_game(
     def trial(rng: Random) -> bool:
         pk, sk = handle.keygen(rng)
         tokens = [handle.token_gen(sk, rng) for _ in range(ell)]
-        view = pk
-        if not strategy.capability.oracle_access and handle.withhold is not None:
-            view = handle.withhold(pk)
-        try:
-            out = strategy.program(TrialContext(handle, view, tokens, rng))
-        except OracleWithheldError as exc:
-            raise CapabilityViolation(str(exc)) from exc
+        view = pk if strategy.capability.oracle_access else _Withheld()
+        out = strategy.program(TrialContext(handle, view, tokens, rng))
         return out is not None and score(pk, out, rng)
 
     name = f"{game}[{handle.name}/{strategy.name}]"
@@ -723,7 +738,10 @@ def query_count_experiment(
     querying, and exhaustive reconstruction (2^{n+1} queries, success 1).
     Descriptive: the extra payload carries the full success-vs-budget curves
     and the square-root reference scale 2^{n/4} for each n.  The report's own
-    counts are those of the zero-query point at ``ns[0]``."""
+    counts are those of the zero-query point at ``ns[0]``.
+
+    This is an experiment that holds the key, not a strategy: each trial
+    queries the oracle ``pk`` directly, outside the capability rule."""
     curves: dict[int, dict] = {}
     head = (0, 0)
     for n in ns:

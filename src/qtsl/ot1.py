@@ -33,7 +33,6 @@ __all__ = [
     "Ot1Token",
     "Ot1Signature",
     "TokenSpentError",
-    "OracleWithheldError",
     "default_dimension",
     "ot1_keygen",
     "ot1_token_gen",
@@ -42,7 +41,6 @@ __all__ = [
     "ot1_verify",
     "ot1_verify_token",
     "ot1_revoke",
-    "withheld_twin",
 ]
 
 KEY_ID_BYTES = 16
@@ -50,10 +48,6 @@ KEY_ID_BYTES = 16
 
 class TokenSpentError(RuntimeError):
     """Honest signing was attempted on an already-consumed token."""
-
-
-class OracleWithheldError(RuntimeError):
-    """The oracle is in withheld mode and refuses to answer."""
 
 
 def default_dimension(kappa: int) -> int:
@@ -66,22 +60,15 @@ def default_dimension(kappa: int) -> int:
 class MembershipOracle:
     """Sealed membership interface to a hidden subspace.
 
-    The public surface is exactly: ``query``, ``mode``, ``query_count`` and
-    ``key_id``.  The subspace itself is module-private; nothing outside this
-    module should ever read it.
+    The public surface is exactly: ``query``, ``query_count`` and ``key_id``.
+    The subspace itself is module-private; nothing outside this module should
+    ever read it.  Who may query is the games' business, not the oracle's.
     """
 
-    def __init__(self, space: Subspace, key_id: bytes, mode: str = "public") -> None:
-        if mode not in ("public", "withheld"):
-            raise ValueError(f"bad oracle mode {mode!r}")
+    def __init__(self, space: Subspace, key_id: bytes) -> None:
         self.__space = space
-        self.__mode = mode
         self.__count = 0
         self.__key_id = bytes(key_id)
-
-    @property
-    def mode(self) -> str:
-        return self.__mode
 
     @property
     def query_count(self) -> int:
@@ -93,8 +80,6 @@ class MembershipOracle:
 
     def query(self, v: F2Vector, p: int) -> int:
         """Membership bit of v in the subspace (p=0) or its dual (p=1)."""
-        if self.__mode != "public":
-            raise OracleWithheldError("oracle queries are withheld")
         if p not in (0, 1):
             raise ValueError(f"selector must be 0 or 1, got {p!r}")
         self.__count += 1
@@ -104,20 +89,12 @@ class MembershipOracle:
         self.__count += amount
 
     def __repr__(self) -> str:
-        return (
-            f"MembershipOracle(mode={self.__mode!r}, "
-            f"key_id={self.__key_id.hex()[:8]}..., queries={self.__count})"
-        )
+        return f"MembershipOracle(key_id={self.__key_id.hex()[:8]}..., queries={self.__count})"
 
 
 def _hidden_space(pk: MembershipOracle) -> Subspace:
     """Module-private accessor for the sealed subspace (simulation only)."""
     return pk._MembershipOracle__space  # type: ignore[attr-defined]
-
-
-def withheld_twin(pk: MembershipOracle) -> MembershipOracle:
-    """A view of the same key whose queries always refuse."""
-    return MembershipOracle(_hidden_space(pk), pk.key_id, mode="withheld")
 
 
 class Ot1SecretKey(FrozenRecord):
@@ -132,7 +109,7 @@ class Ot1SecretKey(FrozenRecord):
     def query(self, v: F2Vector, p: int) -> int:
         """Membership bit of v in the subspace (p=0) or its dual (p=1): the
         holder of the subspace answers ``MembershipOracle.query`` itself,
-        with no mode and no count."""
+        uncounted."""
         return member_or_dual(self.space, v, p)
 
     def __repr__(self) -> str:
@@ -232,15 +209,13 @@ def ot1_verify_token(
     """Non-destructive token test: project onto the key's subspace.
 
     An oracle is charged two queries (the projection is realized with one
-    membership round in each basis) and a withheld one refuses; a secret
-    key projects for free.  An accepted honest token is left unchanged and
-    stays usable; a rejected token is left with an untracked residual state.
+    membership round in each basis); a secret key projects for free.  An
+    accepted honest token is left unchanged and stays usable; a rejected
+    token is left with an untracked residual state.
     """
     if isinstance(key, Ot1SecretKey):
         space = key.space
     else:
-        if key.mode != "public":
-            raise OracleWithheldError("oracle queries are withheld")
         key._charge(2)
         space = _hidden_space(key)
     accepted, token.state = project_subspace(token.state, space, rng)

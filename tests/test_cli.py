@@ -33,6 +33,7 @@ from qtsl.container import (
     unwrap_container,
     wrap_container,
 )
+from qtsl.games import GAME_RUNNERS
 from qtsl.money import SignFailedError, check_verify, check_write, coin_mint
 from qtsl.primitives import DataError, ds_keygen, ds_sign, ds_verify
 from qtsl.stack import (
@@ -507,6 +508,14 @@ def test_cli_keygen_rejects_token_length_that_cannot_mint(tmp_path, capsys, n):
                  "--public-out", pub, "--secret-out", sec) == 2
     assert f"token length must be even and >= 2, got {n}" in capsys.readouterr().err
     assert not pub.exists() and not sec.exists()
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("name", sorted(GAME_RUNNERS))
+def test_cli_game_rejects_trials_below_one(capsys, name, trials):
+    assert _qtsl("game", "--name", name, "--trials", trials) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_revoke(tmp_path, capsys):

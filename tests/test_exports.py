@@ -1,8 +1,10 @@
 """Every exported name resolves: each ``qtsl.*`` module's ``__all__``,
 every name in the package's lazy name table, each in the module the table
 names, and every function the bench tracer wraps.  Catches exports left
-behind, and tracer targets lost, when code is deleted."""
+behind, and tracer targets lost, when code is deleted.  A layering guard
+keeps the threat model in ``games``."""
 
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -72,3 +74,36 @@ def test_bench_tracer_targets_resolve():
     from qtsl.ot1 import MembershipOracle
 
     assert callable(MembershipOracle.query) and callable(MembershipOracle._charge)
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """The ``qtsl`` submodules a module imports, by stem."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):  # relative imports are all within qtsl
+            base = ".".join(filter(None, ["qtsl" if node.level else "", node.module]))
+            dotted += [f"{base}.{a.name}" for a in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("qtsl.")}
+
+
+def test_games_alone_owns_the_threat_model():
+    """Only ``games`` and ``cli`` import ``games``, and only ``games``
+    defines or raises ``CapabilityViolation``: no scheme module decides
+    what a strategy may touch."""
+    importers, raisers = set(), set()
+    for path in sorted(INIT.parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if "games" in _imported_modules(tree):
+            importers.add(path.stem)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "CapabilityViolation":
+                raisers.add(path.stem)
+            elif isinstance(node, ast.Raise) and any(
+                getattr(sub, "id", getattr(sub, "attr", None)) == "CapabilityViolation"
+                for sub in ast.walk(node)
+            ):
+                raisers.add(path.stem)
+    assert importers <= {"games", "cli"} and "cli" in importers
+    assert raisers == {"games"}

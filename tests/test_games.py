@@ -7,6 +7,7 @@ from random import Random
 import pytest
 from helpers import exhaustive_reconstruction, fit_halving_slope, fit_scale_constant
 
+from qtsl.f2lin import F2Vector, dual, sample_nonzero_element
 from qtsl.games import (
     GAME_RUNNERS,
     AdversaryStrategy,
@@ -38,7 +39,7 @@ from qtsl.games import (
     ts_handle,
     wilson_interval,
 )
-from qtsl.ot1 import ot1_keygen
+from qtsl.ot1 import Ot1Signature, ot1_keygen
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +116,7 @@ def test_everlasting_requires_withheld_oracle():
 
 def test_oracle_query_in_withheld_context_is_violation():
     def peek(ctx):
-        ctx.pk_view.query(next(iter(ctx.tokens)).state.space.basis[0], 0)
+        ctx.pk_view.query(F2Vector(4, 1), 0)
         return [], (0, None)
 
     sneaky = AdversaryStrategy(
@@ -125,6 +126,38 @@ def test_oracle_query_in_withheld_context_is_violation():
     )
     with pytest.raises(CapabilityViolation):
         game_everlasting(ot1_handle(16, 4), sneaky, ell=1, trials=2, seed=0)
+
+
+def test_private_handle_withholds_the_secret_key():
+    """A private handle's verification key is its secret key; a no-oracle
+    strategy that reads its subspace off ``pk_view`` would forge every time."""
+
+    def read_the_key(ctx):
+        space = ctx.pk_view.space
+        (token,) = ctx.tokens
+        inside = sample_nonzero_element(space, ctx.rng)
+        outside = sample_nonzero_element(dual(space), ctx.rng)
+        return [
+            (0, Ot1Signature(0, inside, token.key_id)),
+            (1, Ot1Signature(1, outside, token.key_id)),
+        ]
+
+    reader = AdversaryStrategy("key-reader", Capability(oracle_access=False), read_the_key)
+    with pytest.raises(CapabilityViolation):
+        game_unforgeability(priv_ot1_handle(16, 8), reader, ell=1, trials=50, seed=1)
+
+
+def test_public_handle_withholds_component_oracles():
+    """A no-oracle strategy on the r-fold handle cannot reach a component's
+    membership oracle through ``pk_view``."""
+
+    def ask_a_component(ctx):
+        ctx.pk_view.components[0].query(F2Vector(8, 1), 0)
+        return None
+
+    asker = AdversaryStrategy("component-asker", Capability(oracle_access=False), ask_a_component)
+    with pytest.raises(CapabilityViolation):
+        game_unforgeability(otr_handle(16, 4, 8), asker, ell=1, trials=5, seed=1)
 
 
 def test_token_budget_enforced():
@@ -234,6 +267,31 @@ def test_every_layer_verifier_answers_a_bool(name):
     sig = next(s for s in (handle.sign(doc, handle.token_gen(sk, rng), rng) for _ in range(60)) if s)
     assert handle.verify(pk, doc, sig) is True
     assert type(handle.verify(foreign_pk, doc, sig)) is bool
+
+
+@pytest.mark.parametrize("check", ["verify_token", "verify"])
+@pytest.mark.parametrize("name", sorted(VERIFY_CONTRACT_HANDLES))
+def test_no_oracle_view_is_no_key_to_any_verifier(name, check):
+    """Whatever the handle, a no-oracle strategy that passes its ``pk_view``
+    to the handle's token test, or to its verifier with a real signature,
+    gets a violation instead of a verdict."""
+
+    def program(ctx):
+        (token,) = ctx.tokens
+        if check == "verify_token":
+            ctx.handle.verify_token(ctx.pk_view, token, ctx.rng)
+        else:
+            doc = ctx.handle.random_doc(ctx.rng)
+            sig = ctx.handle.sign(doc, token, ctx.rng)
+            if sig is None:
+                raise TrialVoid
+            ctx.handle.verify(ctx.pk_view, doc, sig)
+        return None
+
+    blind = AdversaryStrategy("blind", Capability(oracle_access=False), program)
+    handle = VERIFY_CONTRACT_HANDLES[name]()
+    with pytest.raises(CapabilityViolation):
+        game_unforgeability(handle, blind, ell=1, trials=3, seed=1)
 
 
 def test_private_games_mirror_public():

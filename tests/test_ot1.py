@@ -6,8 +6,6 @@ import pytest
 
 from qtsl.f2lin import F2Vector, dual, member
 from qtsl.ot1 import (
-    MembershipOracle,
-    OracleWithheldError,
     Ot1Token,
     TokenSpentError,
     default_dimension,
@@ -17,9 +15,7 @@ from qtsl.ot1 import (
     ot1_token_gen,
     ot1_verify,
     ot1_verify_token,
-    withheld_twin,
 )
-from qtsl.ot1 import _hidden_space
 from qtsl.qsim import basis_state, phase_state
 
 
@@ -37,7 +33,7 @@ def fresh(seed=0, n=8):
 def test_oracle_public_surface_is_minimal():
     pk, _, _ = fresh()
     public = {name for name in dir(pk) if not name.startswith("_")}
-    assert public == {"query", "mode", "query_count", "key_id"}
+    assert public == {"query", "query_count", "key_id"}
 
 
 def test_oracle_repr_does_not_leak_the_space():
@@ -80,23 +76,6 @@ def test_oracle_query_count_is_exact_across_queries_and_charges():
     with pytest.raises(ValueError):
         pk.query(F2Vector(8, 1), 2)  # a refused selector is not charged
     assert pk.query_count == expected
-
-
-def test_withheld_twin_refuses():
-    pk, sk, _ = fresh()
-    twin = withheld_twin(pk)
-    assert twin.mode == "withheld"
-    assert twin.key_id == pk.key_id
-    with pytest.raises(OracleWithheldError):
-        twin.query(F2Vector(8, 0), 0)
-    # the underlying space is still the same key
-    assert _hidden_space(twin) == sk.space
-
-
-def test_oracle_rejects_bad_mode():
-    _, sk, _ = fresh()
-    with pytest.raises(ValueError):
-        MembershipOracle(sk.space, sk.key_id, mode="chatty")
 
 
 def test_default_dimension_even_and_growing():
@@ -237,13 +216,6 @@ def test_verify_token_rejects_wrong_key_state():
         rejected += not ok
     # overlap dim d gives accept probability 2^{2d-8} <= 1/4 for distinct keys
     assert rejected >= 30
-
-
-def test_verify_token_withheld_raises():
-    pk, sk, rng = fresh(13)
-    token = ot1_token_gen(sk)
-    with pytest.raises(OracleWithheldError):
-        ot1_verify_token(withheld_twin(pk), token, rng)
 
 
 def test_secret_key_answers_like_its_oracle():
