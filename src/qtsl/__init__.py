@@ -39,7 +39,7 @@ _EXPORTS = {
         (
             "ot1",
             "MembershipOracle Ot1Signature Ot1Token TokenSpentError default_dimension"
-            " ot1_keygen ot1_measure ot1_revoke ot1_sign ot1_token_gen ot1_verify"
+            " ot1_keygen ot1_revoke ot1_sign ot1_token_gen ot1_verify"
             " ot1_verify_token",
         ),
         (

@@ -42,7 +42,6 @@ from .primitives import HASH_VARIANTS, DataError, KeyExhaustedError
 from .stack import (
     TsSignature,
     TsToken,
-    one_bit_tokens,
     ts_keygen,
     ts_revoke,
     ts_sign,
@@ -178,16 +177,10 @@ def _cmd_mint(args) -> int:
     return 0
 
 
-def _require_fresh(token: TsToken) -> None:
-    if any(t.lifecycle != "fresh" for t in one_bit_tokens(token)):
-        raise TokenSpentError("token file holds a consumed token")
-
-
 def _cmd_sign(args) -> int:
     doc = _doc_bytes(args)
 
     def sign(token: TsToken) -> TsSignature | None:
-        _require_fresh(token)
         return ts_sign(doc, token, Random(args.seed))  # consumed either way
 
     sig = _locked_update(args.token, decode_token, sign, encode_token)
@@ -245,7 +238,6 @@ def _cmd_mint_coin(args) -> int:
 
 def _cmd_check_write(args) -> int:
     def write(coin: money.Coin) -> money.Check | None:
-        _require_fresh(coin.token)
         try:
             return money.check_write(coin, args.payee, args.branch, args.time, Random(args.seed))
         except money.SignFailedError:

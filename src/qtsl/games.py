@@ -377,13 +377,10 @@ def _revoke_states(
     docs = [handle.random_doc(rng) for _ in states]
     if distinct_docs and len(set(docs)) != len(docs):
         raise TrialVoid
-    for doc, state in zip(docs, states):
-        if state is None:
-            return False
-        sig = handle.sign(doc, _stack.take_custody(state), rng)
-        if sig is None or not handle.verify(pk, doc, sig):
-            return False
-    return True
+    return all(
+        state is not None and _stack.revoke(handle.sign, handle.verify, pk, doc, state, rng)
+        for doc, state in zip(docs, states)
+    )
 
 
 class _Withheld:
@@ -409,6 +406,8 @@ def _strategy_game(
 ) -> GameReport:
     """Per trial: keygen, mint ell tokens, run the strategy on its view of the
     public key, and pass a non-None result to ``score(pk, out, rng)``."""
+    if ell < 1:
+        raise ValueError(f"ell must be at least 1, got {ell}")
     if strategy.capability.tokens < ell:
         raise CapabilityViolation(
             f"{strategy.name} declares {strategy.capability.tokens} tokens, game hands {ell}"
@@ -622,9 +621,8 @@ def collision_forgery_strategy() -> AdversaryStrategy:
     collide within the budget of 512 hash evaluations."""
 
     def program(ctx: TrialContext):
-        s = getattr(ctx.pk_view, "s", None)
-        if s is None:  # chain layer: the index lives on the token's key
-            s = ctx.tokens[0].ot_public.s
+        token = ctx.tokens[0]  # the hash index travels with the token
+        s = token.s if isinstance(token, _stack.OtToken) else token.ot_token.s
         seen: dict[str, bytes] = {}
         collision = None
         for i in range(512):
@@ -637,7 +635,7 @@ def collision_forgery_strategy() -> AdversaryStrategy:
         if collision is None:
             return None
         d1, d2 = collision
-        sig = _sign_or_void(ctx, d1, ctx.tokens[0])
+        sig = _sign_or_void(ctx, d1, token)
         return [(d1, sig), (d2, sig)]
 
     return AdversaryStrategy("collision-forgery", Capability(tokens=1), program)
@@ -874,8 +872,7 @@ def two_faced_demo(
         sig_b = _stack.ts_sign(doc_b, token, run)
         if sig_b is None or not _stack.ts_verify(pk, doc_b, sig_b):
             raise TrialVoid
-        sig_c = _stack.ts_sign(doc_c, _stack.take_custody(token), run)
-        return sig_c is None or not _stack.ts_verify(pk, doc_c, sig_c)
+        return not _stack.revoke(_stack.ts_sign, _stack.ts_verify, pk, doc_c, token, run)
 
     counts = _trial_loop("two-faced-equivocate", trials, seed, equivocate)
     rejected = counts[0]

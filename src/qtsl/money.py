@@ -162,21 +162,22 @@ class BranchState:
             raise ValueError(f"bad branch mode {self.mode!r}")
 
 
-def _policy_check(branch: BranchState, check: Check, now: int) -> str | None:
-    """Returns a rejection kind, or None to accept.  Mutates window state."""
+def _policy_check(branch: BranchState, timestamp: int, cd: str, now: int) -> str | None:
+    """Returns a rejection kind for a check dated ``timestamp`` with digest
+    ``cd``, or None to accept.  Mutates window state."""
     if branch.mode == "ledger":
-        if abs(check.timestamp - now) > SKEW_SECONDS:
+        if abs(timestamp - now) > SKEW_SECONDS:
             return "RejectStale"
-        if check.digest() in branch.cashed:
+        if cd in branch.cashed:
             return "RejectDuplicate"
         return None
     today = now // SECONDS_PER_DAY
     if branch.window_day != today:
         branch.window_day = today
         branch.cashed = set()
-    if check.timestamp // SECONDS_PER_DAY != today - 1:
+    if timestamp // SECONDS_PER_DAY != today - 1:
         return "RejectStale"
-    if check.digest() in branch.cashed:
+    if cd in branch.cashed:
         return "RejectDuplicate"
     return None
 
@@ -199,7 +200,7 @@ def branch_cash(
         return None, event("RejectBadSignature")
     if check.branch_id != branch.branch_id:
         return None, event("RejectWrongBranch")
-    rejection = _policy_check(branch, check, now)
+    rejection = _policy_check(branch, check.timestamp, cd, now)
     if rejection is not None:
         return None, event(rejection)
     branch.cashed.add(cd)

@@ -5,7 +5,9 @@ sealed membership oracle answering "is v in A" / "is v in the dual"; the
 token is the uniform superposition over A.  Signing bit 0 measures the token
 directly, signing bit 1 measures it in the Hadamard basis, so one token
 yields one verifiable (bit, vector) pair and the zero outcome is treated as
-a signing failure.
+a signing failure.  ``ot1_sign`` is the only measurement of a token and
+refuses one already spent; a revoker that takes a register back clears its
+flag first (``ot1_revoke`` here, ``stack.revoke`` for every layer above).
 
 In the private variant the verifier holds the subspace itself: an
 ``Ot1SecretKey`` answers the same membership queries, uncounted, so
@@ -36,7 +38,6 @@ __all__ = [
     "default_dimension",
     "ot1_keygen",
     "ot1_token_gen",
-    "ot1_measure",
     "ot1_sign",
     "ot1_verify",
     "ot1_verify_token",
@@ -156,12 +157,18 @@ def ot1_token_gen(sk: Ot1SecretKey) -> Ot1Token:
     return Ot1Token(prepare_subspace_state(sk.space), sk.key_id)
 
 
-def ot1_measure(alpha: int, token: Ot1Token, rng: Random) -> F2Vector | None:
-    """The only measurement of a token: standard basis for bit 0, Hadamard
-    for bit 1.  Stores the residual state and marks the token spent; None
-    means the outcome was zero (or the register held nothing).  It checks
-    no lifecycle, so revocation can measure a register taken back from its
-    holder."""
+def ot1_sign(alpha: int, token: Ot1Token, rng: Random) -> Ot1Signature | None:
+    """Consume the token to sign one bit: the only measurement of a token,
+    standard basis for bit 0, Hadamard for bit 1.
+
+    A spent token is refused with ``TokenSpentError``.  Otherwise the token
+    keeps its residual state and is marked spent either way; None means the
+    outcome was zero (or the register held nothing) and the signing failed.
+    """
+    if alpha not in (0, 1):
+        raise ValueError(f"document bit must be 0 or 1, got {alpha!r}")
+    if token.lifecycle != "fresh":
+        raise TokenSpentError("token was already consumed")
     state = token.state
     outcome = None
     if not state.is_unsupported():
@@ -171,21 +178,6 @@ def ot1_measure(alpha: int, token: Ot1Token, rng: Random) -> F2Vector | None:
     token.state = state
     token.lifecycle = "spent"
     if outcome is None or outcome.is_zero():
-        return None
-    return outcome
-
-
-def ot1_sign(alpha: int, token: Ot1Token, rng: Random) -> Ot1Signature | None:
-    """Consume the token to sign one bit; None means the signing failed.
-
-    The token is marked spent either way and keeps its residual state.
-    """
-    if alpha not in (0, 1):
-        raise ValueError(f"document bit must be 0 or 1, got {alpha!r}")
-    if token.lifecycle != "fresh":
-        raise TokenSpentError("token was already consumed")
-    outcome = ot1_measure(alpha, token, rng)
-    if outcome is None:
         return None
     return Ot1Signature(alpha, outcome, token.key_id)
 
@@ -224,7 +216,9 @@ def ot1_verify_token(
 
 def ot1_revoke(key: MembershipOracle | Ot1SecretKey, token: Ot1Token, rng: Random) -> bool:
     """Sign a random bit with the token and verify it under the key, public
-    or private.  Consumes the token; returns whether verification accepted."""
+    or private.  The bank measures whatever register comes back, so the
+    token's flag is cleared first; returns whether verification accepted."""
     alpha = rng.getrandbits(1)
-    outcome = ot1_measure(alpha, token, rng)
-    return outcome is not None and ot1_verify(key, alpha, outcome)
+    token.lifecycle = "fresh"
+    sig = ot1_sign(alpha, token, rng)
+    return sig is not None and ot1_verify(key, alpha, sig.sig)

@@ -36,7 +36,7 @@ from .stack import (
     ot_verify,
     ot_verify_token,
     random_document,
-    take_custody,
+    revoke,
 )
 
 __all__ = [
@@ -171,8 +171,4 @@ def tm_verify_token(key: TmKey, token: TmToken, rng: Random) -> bool:
 
 
 def tm_revoke(key: TmKey, token: TmToken, rng: Random) -> bool:
-    doc = random_document(key.kappa, rng)
-    sig = tm_sign(doc, take_custody(token), rng)
-    if sig is None:
-        return False
-    return tm_verify(key, doc, sig)
+    return revoke(tm_sign, tm_verify, key, random_document(key.kappa, rng), token, rng)

@@ -12,6 +12,11 @@ Three layers, each a standard transformation:
 The same code serves the oracle-based scheme and the private-key variant:
 a layer's verification key holds either membership oracles or the one-bit
 secret keys themselves, and both answer ``ot1``'s membership queries.
+
+Every layer signs through ``ot1.ot1_sign``, the only measurement of a
+token, which refuses a spent one.  ``revoke`` is the one place above ``ot1``
+that clears the flags of a register taken back from its holder: the bank
+measures whatever comes back, spent or not.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ __all__ = [
     "verify_prime_k",
     "random_document",
     "one_bit_tokens",
-    "take_custody",
+    "revoke",
 ]
 
 
@@ -381,15 +386,28 @@ def random_document(kappa: int, rng: Random) -> bytes:
     return bytes(raw)
 
 
-def ts_revoke(pk: TsPublicKey, token: TsToken, rng: Random) -> bool:
-    """Consume the token by signing a random document and verifying it.
+def revoke(
+    sign: Callable[[Any, Any, Random], Any],
+    verify: Callable[[Any, Any, Any], bool],
+    key: Any,
+    doc: Any,
+    token: Any,
+    rng: Random,
+) -> bool:
+    """Take a returned register back, sign ``doc`` with it and verify.
 
-    The bank measures whatever register comes back, spent or not."""
-    doc = random_document(pk.kappa, rng)
-    sig = ts_sign(doc, take_custody(token), rng)
-    if sig is None:
-        return False
-    return ts_verify(pk, doc, sig)
+    Lifecycle flags bind honest holders only: the revoker (or an
+    equivocator replaying a residual) clears the flags of every one-bit
+    token and signs with whatever state is physically left."""
+    for tok in one_bit_tokens(token):
+        tok.lifecycle = "fresh"
+    sig = sign(doc, token, rng)
+    return sig is not None and verify(key, doc, sig)
+
+
+def ts_revoke(pk: TsPublicKey, token: TsToken, rng: Random) -> bool:
+    """Consume the token by signing a random document and verifying it."""
+    return revoke(ts_sign, ts_verify, pk, random_document(pk.kappa, rng), token, rng)
 
 
 def verify_k(verify: Callable[[Any, Any, Any], bool], pk: Any, pairs: list) -> bool:
@@ -430,13 +448,3 @@ def one_bit_tokens(token: Any) -> list[Ot1Token]:
     if isinstance(token, OtToken):
         return token.otr.tokens
     return one_bit_tokens(token.ot_token)  # chain-signed and private transferable tokens
-
-
-def take_custody(token: Any) -> Any:
-    """Take a returned register out of its holder's bookkeeping.
-
-    Lifecycle flags bind honest holders only; a revoker (or an equivocator
-    replaying a residual) signs with whatever state is physically left."""
-    for tok in one_bit_tokens(token):
-        tok.lifecycle = "fresh"
-    return token

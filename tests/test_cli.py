@@ -518,6 +518,14 @@ def test_cli_game_rejects_trials_below_one(capsys, name, trials):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("ell", [0, -1])
+@pytest.mark.parametrize("name", ["unforgeability", "revocability", "everlasting", "super-security"])
+def test_cli_game_rejects_ell_below_one(capsys, name, ell):
+    assert _qtsl("game", "--name", name, "--l", ell, "--trials", 3) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("ell" in err or "--l" in err)
+
+
 def test_cli_revoke(tmp_path, capsys):
     pub, sec = _keys(tmp_path)
     token = tmp_path / "tok"
@@ -566,6 +574,32 @@ def test_cli_check_write_zero_outcome_burns_the_coin(tmp_path, capsys):
     assert all(t.lifecycle == "spent" for t in one_bit_tokens(decode_coin(coin.read_bytes()).token))
     assert _qtsl("check-write", "--coin", coin, "--payee", "alice", "--branch", 3,
                  "--time", 777, "--out", check, "--seed", 1) == 3
+
+
+@pytest.mark.parametrize("kind", ["token", "coin"])
+def test_cli_partly_spent_file_is_refused_untouched(tmp_path, capsys, kind):
+    """Only the last one-bit component is spent: signing measures the ones
+    before it, then refuses the spent one, and nothing reaches the disk."""
+    _, sec = _keys(tmp_path)
+    path, out = tmp_path / kind, tmp_path / "out"
+    if kind == "token":
+        assert _qtsl("mint", "--secret-key", sec, "--out", path, "--seed", 0) == 0
+        token = decode_token(path.read_bytes())
+        one_bit_tokens(token)[-1].lifecycle = "spent"
+        path.write_bytes(encode_token(token))
+        argv = ("sign", "--token", path, "--text", "x")
+    else:
+        assert _qtsl("mint-coin", "--secret-key", sec, "--out", path, "--seed", 0) == 0
+        coin = decode_coin(path.read_bytes())
+        one_bit_tokens(coin.token)[-1].lifecycle = "spent"
+        path.write_bytes(encode_coin(coin))
+        argv = ("check-write", "--coin", path, "--payee", "alice", "--branch", 3, "--time", 777)
+    before = path.read_bytes()
+    capsys.readouterr()
+    for seed in range(3):
+        assert _qtsl(*argv, "--out", out, "--seed", seed) == 3
+        assert path.read_bytes() == before and not out.exists()
+        assert "token was already consumed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

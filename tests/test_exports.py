@@ -1,8 +1,9 @@
 """Every exported name resolves: each ``qtsl.*`` module's ``__all__``,
 every name in the package's lazy name table, each in the module the table
 names, and every function the bench tracer wraps.  Catches exports left
-behind, and tracer targets lost, when code is deleted.  A layering guard
-keeps the threat model in ``games``."""
+behind, and tracer targets lost, when code is deleted.  Layering guards
+keep the threat model in ``games`` and a token's lifecycle in ``ot1_sign``
+and the two revokers."""
 
 import ast
 import importlib
@@ -107,3 +108,33 @@ def test_games_alone_owns_the_threat_model():
                 raisers.add(path.stem)
     assert importers <= {"games", "cli"} and "cli" in importers
     assert raisers == {"games"}
+
+
+def _lifecycle_writers(tree: ast.AST, scope: str = "") -> set[str]:
+    """The functions (by qualified name) that assign an attribute named
+    ``lifecycle``."""
+    writers = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            writers |= _lifecycle_writers(node, f"{scope}{node.name}.")
+            continue
+        for sub in ast.walk(node):
+            targets = getattr(sub, "targets", None) or [getattr(sub, "target", None)]
+            if any(isinstance(t, ast.Attribute) and t.attr == "lifecycle" for t in targets):
+                writers.add(scope.rstrip("."))
+    return writers
+
+
+def test_only_signing_and_revocation_write_a_lifecycle():
+    """A token is spent by ``ot1_sign`` alone; only a revoker taking a
+    register back clears the flag."""
+    writers = set()
+    for path in sorted(INIT.parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        writers |= {f"{path.stem}.{name}" for name in _lifecycle_writers(tree)}
+    assert writers == {
+        "ot1.Ot1Token.__init__",
+        "ot1.ot1_sign",
+        "ot1.ot1_revoke",
+        "stack.revoke",
+    }

@@ -15,6 +15,7 @@ from qtsl.games import (
     CapabilityViolation,
     GameReport,
     TrialVoid,
+    collision_forgery_strategy,
     derive_rng,
     double_revoke_strategy,
     enumerate_consistent_strategy,
@@ -189,6 +190,23 @@ def test_naive_double_sign_rate_near_analytic():
     lo, hi = rep.wilson_95
     assert lo - 0.02 <= analytic <= hi + 0.02
     assert rep.voided > 0  # zero-outcome first signatures void the trial
+
+
+@pytest.mark.parametrize(
+    "handle",
+    [
+        ot_handle(16, "toy-8", 8),
+        ot_handle(16, "toy-8", 8, private=True),
+        ts_handle(16, "toy-8", 8),
+        tm_handle(16, "toy-8", 8),
+    ],
+    ids=lambda h: h.name,
+)
+def test_collision_forgery_breaks_every_toy_hash_layer(handle):
+    """The strategy reads the hash index off the token it holds, so it runs
+    on every hash-and-sign layer: an 8-bit digest always collides."""
+    rep = game_unforgeability(handle, collision_forgery_strategy(), 1, 20, 1)
+    assert rep.rate == 1.0
 
 
 def test_spent_token_revocation_fails():
