@@ -42,6 +42,7 @@ from .primitives import HASH_VARIANTS, DataError, KeyExhaustedError
 from .stack import (
     TsSignature,
     TsToken,
+    _token_length,
     ts_keygen,
     ts_revoke,
     ts_sign,
@@ -283,8 +284,9 @@ def _cmd_game(args) -> int:
     runners = games.GAME_RUNNERS
     if args.name not in runners:
         raise DataError(f"unknown game {args.name!r}; choose from {sorted(runners)}")
+    n = _token_length(args.n)  # one check for every runner, before any runner arithmetic
     report = runners[args.name](
-        n=args.n, ell=args.l, trials=args.trials, seed=args.seed, kappa=_kappa(args.kappa)
+        n=n, ell=args.l, trials=args.trials, seed=args.seed, kappa=_kappa(args.kappa)
     )
     print(report.to_json().decode("utf-8"))
     if args.out:

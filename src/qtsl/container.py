@@ -47,6 +47,7 @@ from .stack import (
     TsSecretKey,
     TsSignature,
     TsToken,
+    _token_length,
 )
 
 __all__ = [
@@ -186,14 +187,15 @@ def encode_public_key(pk: TsPublicKey) -> bytes:
 
 def _key_params(payload: dict) -> tuple[str, int, str, int | None]:
     """The fields a public and a secret key share, checked: (algo, kappa,
-    hash variant, n)."""
+    hash variant, n), with n a length that keygen would take."""
     algo = _need(payload, "algo", str)
     if algo not in ("ed25519", "hash-chain"):
         raise DataError(f"unknown signature algorithm {algo!r}")
     hash_variant = _need(payload, "hash_variant", str)
     if hash_variant not in HASH_VARIANTS:
         raise DataError("unknown hash variant")
-    return algo, _kappa(_need(payload, "kappa", int)), hash_variant, _opt_int(payload, "n")
+    n = _token_length(_opt_int(payload, "n"))
+    return algo, _kappa(_need(payload, "kappa", int)), hash_variant, n
 
 
 def decode_public_key(data: bytes) -> TsPublicKey:

@@ -123,10 +123,10 @@ def decode_spaces(objs: list) -> list[Subspace]:
 
     Rows that are dependent, out of order or not fully reduced are rejected
     rather than re-canonicalised, and a space of n <= 64 takes only bit
-    strings, so every subspace has one encoding.  The rows of all those
-    spaces are checked together (type, length, alphabet) and each space
-    keeps the text it was checked against; ``hex:`` rows (n > 64) are
-    parsed one at a time.
+    strings, so every subspace has one encoding.  The bit-string rows of all
+    those spaces are checked together (type, length, alphabet), ``hex:``
+    rows (n > 64) are parsed one at a time, and every space keeps the text
+    it was checked against.
     """
     shapes = []
     for obj in objs:
@@ -140,20 +140,20 @@ def decode_spaces(objs: list) -> list[Subspace]:
             raise DataError("rows must be a list")
         shapes.append((n, rows))
     short = [(n, rows) for n, rows in shapes if n <= 64]
-    values = iter(_bit_values(list(chain.from_iterable(rows for _, rows in short))))
+    bits = iter(_bit_values(list(chain.from_iterable(rows for _, rows in short))))
     if any(set(map(len, rows)) - {n} for n, rows in short):
         raise DataError("row length disagrees with ambient")
     out = []
     for n, rows in shapes:
-        if n > 64:
+        if n <= 64:
+            values = islice(bits, len(rows))
+        else:
             vectors = decode_vectors(rows)
             if any(v.n != n for v in vectors):
                 raise DataError("row length disagrees with ambient")
+            values = [v.value for v in vectors]
         try:
-            if n <= 64:
-                out.append(_from_text(n, islice(values, len(rows)), tuple(rows)))
-            else:
-                out.append(Subspace.from_rows(n, [v.value for v in vectors]))
+            out.append(_from_text(n, values, tuple(rows)))
         except ValueError as exc:
             raise DataError("basis rows are not a canonical reduced basis") from exc
     return out

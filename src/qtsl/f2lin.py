@@ -139,14 +139,14 @@ def _checked_rows(n: int, rows: Iterable[int]) -> tuple[int, ...]:
     """``rows`` as a tuple if it is exactly the canonical basis that
     ``_rref`` returns for its span; ValueError otherwise.
 
-    Checks the invariants directly instead of recomputing the form: no zero
-    row, rows fit in n bits, pivots (leading bits) strictly descending, and
-    each row's only bit in a pivot column is its own pivot.
+    Checks the invariants directly, in one pass, instead of recomputing the
+    form: no zero or negative row, rows fit in n bits, pivots (leading bits)
+    strictly descending, and no row has a bit in a pivot column but its own.
     """
     if n <= 0:
         raise DimensionError(f"ambient must be positive, got {n}")
     rows = tuple(rows)
-    pivot_mask = 0
+    pivot_mask = rest = 0
     last = n
     for r in rows:
         p = r.bit_length() - 1
@@ -154,7 +154,8 @@ def _checked_rows(n: int, rows: Iterable[int]) -> tuple[int, ...]:
             raise ValueError("basis is not in canonical reduced form")
         last = p
         pivot_mask |= 1 << p
-    if not all(r & pivot_mask == 1 << (r.bit_length() - 1) for r in rows):
+        rest |= r ^ (1 << p)
+    if rest & pivot_mask:
         raise ValueError("basis is not in canonical reduced form")
     return rows
 
@@ -163,9 +164,9 @@ class Subspace:
     """A linear subspace of F2^n held as a canonical RREF basis.
 
     ``rows`` holds the basis packed into ints: pivot-sorted (leftmost pivot
-    first), each pivot column cleared in all other rows, no row zero.  Two
-    Subspace values are equal exactly when they contain the same points.
-    ``basis`` is the same basis as a tuple of F2Vector.
+    first), each pivot column cleared in all other rows, no row zero; ``dim``
+    is their count.  Two Subspace values are equal exactly when they contain
+    the same points.  ``basis`` is the same basis as a tuple of F2Vector.
 
     The constructors check the invariants; code in this module that holds
     rows canonical by construction builds through ``_trusted`` instead.  The
@@ -175,13 +176,14 @@ class Subspace:
 
     ambient_n: int
     rows: tuple[int, ...]
+    dim: int
 
     def __init__(self, ambient_n: int, basis: Sequence[F2Vector]) -> None:
         basis = tuple(basis)
         if any(b.n != ambient_n for b in basis):
             raise DimensionError("basis row length != ambient")
         rows = _checked_rows(ambient_n, (b.value for b in basis))
-        self.__dict__.update(ambient_n=ambient_n, rows=rows, basis=basis)
+        self.__dict__.update(ambient_n=ambient_n, rows=rows, dim=len(rows), basis=basis)
 
     @classmethod
     def from_rows(cls, ambient_n: int, rows: Iterable[int]) -> "Subspace":
@@ -229,26 +231,13 @@ class Subspace:
             text = self.__dict__["_spelling"] = _row_text(self.ambient_n, self.rows)
         return text
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
     def __len__(self) -> int:
         return 1 << self.dim
 
     def elements(self) -> Iterator[F2Vector]:
         """Iterate all 2^dim points (small dimensions only)."""
-        rows = self.rows
-        for mask in range(1 << len(rows)):
-            acc = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    acc ^= rows[i]
-                m >>= 1
-                i += 1
-            yield F2Vector(self.ambient_n, acc)
+        for mask in range(1 << self.dim):
+            yield F2Vector(self.ambient_n, _combination(self.rows, mask))
 
     def __str__(self) -> str:
         return "\n".join(format(r, f"0{self.ambient_n}b") for r in self.rows)
@@ -268,7 +257,8 @@ class Subspace:
 def _trusted(ambient_n: int, rows: Sequence[int]) -> Subspace:
     """A Subspace from rows that are canonical by construction (unchecked)."""
     space = object.__new__(Subspace)
-    space.__dict__.update(ambient_n=ambient_n, rows=tuple(rows))
+    rows = tuple(rows)
+    space.__dict__.update(ambient_n=ambient_n, rows=rows, dim=len(rows))
     return space
 
 
@@ -357,15 +347,19 @@ def sample_subspace(n: int, rng: Random) -> Subspace:
             return _trusted(n, rows)
 
 
-def sample_element(space: Subspace, rng: Random) -> F2Vector:
-    """Uniform point of the subspace (the zero vector included)."""
+def _combination(rows: Sequence[int], mask: int) -> int:
+    """The sum of the rows that ``mask`` selects (bit i selects rows[i])."""
     acc = 0
-    mask = rng.getrandbits(space.dim) if space.dim else 0
-    for row in space.rows:
+    for row in rows:
         if mask & 1:
             acc ^= row
         mask >>= 1
-    return F2Vector(space.ambient_n, acc)
+    return acc
+
+
+def sample_element(space: Subspace, rng: Random) -> F2Vector:
+    """Uniform point of the subspace (the zero vector included)."""
+    return F2Vector(space.ambient_n, _combination(space.rows, rng.getrandbits(space.dim)))
 
 
 def sample_nonzero_element(space: Subspace, rng: Random) -> F2Vector:
@@ -393,20 +387,14 @@ def sample_related(space: Subspace, rng: Random) -> Subspace:
     """
     n = space.ambient_n
     k = space.dim
-    if k != n // 2 or n % 2:
+    if n != 2 * k:
         raise DimensionError("expected a half-dimension subspace of even ambient")
     while True:  # a uniform invertible k×k mixing matrix, by rejection
         mix = [rng.getrandbits(k) for _ in range(k)]
         if _rank(mix) == k:
             break
-    rows = space.rows
-    kept = []
-    for row_i in mix[: k - 1]:
-        acc = 0
-        for j in range(k):
-            if (row_i >> (k - 1 - j)) & 1:
-                acc ^= rows[j]
-        kept.append(acc)
+    last_first = space.rows[::-1]  # bit k - 1 of a mix row selects rows[0]
+    kept = [_combination(last_first, row_i) for row_i in mix[: k - 1]]
     while True:
         v = F2Vector(n, rng.getrandbits(n))
         if not member(space, v):

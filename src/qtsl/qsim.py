@@ -83,7 +83,7 @@ def unsupported_state(n: int) -> CosetState:
 
 def prepare_subspace_state(space: Subspace) -> CosetState:
     """The uniform superposition over a half-dimension subspace."""
-    if space.ambient_n % 2 or space.dim != space.ambient_n // 2:
+    if space.ambient_n != 2 * space.dim:
         raise DimensionError("token states live on half-dimension subspaces")
     return subspace_state(space)
 
@@ -140,7 +140,7 @@ def project_subspace(
     A state already on ``space`` is returned as it is: the projection is the
     identity there and draws nothing from ``rng``.
     """
-    if space.ambient_n % 2 or space.dim != space.ambient_n // 2:
+    if space.ambient_n != 2 * space.dim:
         raise DimensionError("projection target must be half-dimension")
     if state.kind == "subspace" and state.space == space:
         return True, state

@@ -30,6 +30,7 @@ from . import ot1 as _ot1
 from .encoding import canonical_json, encode_space
 from .ot1 import Ot1Token, _hidden_space
 from .primitives import (
+    DataError,
     DsPublicKey,
     DsSecretKey,
     ds_keygen,
@@ -323,6 +324,14 @@ def encode_ot_public(pub: OtKey) -> bytes:
     return pub._encoded
 
 
+def _token_length(n: int | None) -> int | None:
+    """``n`` if a token could be minted at that length (None: the length
+    kappa implies); DataError otherwise."""
+    if n is not None and (n < 2 or n % 2):
+        raise DataError(f"token length must be even and >= 2, got {n}")
+    return n
+
+
 def ts_keygen(
     kappa: int,
     rng: Random,
@@ -332,8 +341,7 @@ def ts_keygen(
 ) -> tuple[TsPublicKey, TsSecretKey]:
     """The long-lived key pair.  A token length that no token could be
     minted at is refused here, before any key exists."""
-    if n_override is not None and (n_override < 2 or n_override % 2):
-        raise ValueError(f"token length must be even and >= 2, got {n_override}")
+    _token_length(n_override)
     ds_pk, ds_sk = ds_keygen(kappa, rng, ds_algo)
     return (
         TsPublicKey(ds_pk, kappa, hash_variant, n_override),

@@ -186,6 +186,20 @@ def test_secret_key_rejects_kappa_out_of_range(kappa):
         decode_secret_key(_twisted(encode_secret_key(sk), kappa=kappa))
 
 
+@pytest.mark.parametrize("n", [3, 0, -2])
+@pytest.mark.parametrize("which", ["public", "secret"])
+def test_key_decoders_reject_token_length_keygen_refuses(keypair, which, n):
+    """A key's n must be a length keygen would take: decoding, not the
+    first mint, refuses one that no token could be minted at."""
+    encode, decode = {
+        "public": (encode_public_key, decode_public_key),
+        "secret": (encode_secret_key, decode_secret_key),
+    }[which]
+    blob = encode(keypair[0 if which == "public" else 1])
+    with pytest.raises(DataError, match=f"token length must be even and >= 2, got {n}"):
+        decode(_twisted(blob, n=n))
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=20),
@@ -508,6 +522,27 @@ def test_cli_keygen_rejects_token_length_that_cannot_mint(tmp_path, capsys, n):
                  "--public-out", pub, "--secret-out", sec) == 2
     assert f"token length must be even and >= 2, got {n}" in capsys.readouterr().err
     assert not pub.exists() and not sec.exists()
+
+
+@pytest.mark.parametrize("n", [3, 0, -2])
+def test_cli_mint_refuses_a_key_with_a_token_length_keygen_refuses(tmp_path, capsys, n):
+    _, sec = _keys(tmp_path)
+    sec.write_bytes(_twisted(sec.read_bytes(), n=n))
+    before = sec.read_bytes()
+    capsys.readouterr()
+    assert _qtsl("mint", "--secret-key", sec, "--out", tmp_path / "tok") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: token length must be even and >= 2, got {n}\n"
+    assert sec.read_bytes() == before and not (tmp_path / "tok").exists()
+
+
+@pytest.mark.parametrize("n", [-2, 0, 3])
+@pytest.mark.parametrize("name", sorted(GAME_RUNNERS))
+def test_cli_game_checks_n_once_for_every_game(capsys, name, n):
+    """Every game, query-count included, refuses a token length that no
+    handle could build, with one message and before any runner arithmetic."""
+    assert _qtsl("game", "--name", name, "--n", n, "--trials", 2) == 2
+    assert capsys.readouterr().err == f"error: token length must be even and >= 2, got {n}\n"
 
 
 @pytest.mark.parametrize("trials", [0, -3])

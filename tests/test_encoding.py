@@ -349,7 +349,10 @@ def test_decode_spaces_matches_the_row_at_a_time_reference(objs):
     got = _verdict(decode_spaces, objs)
     assert got == expected
     if got is not DataError:
-        for space in got:  # the kept text is the canonical spelling
+        # every space, n > 64 included, keeps the text it was checked
+        # against, and that text is the canonical spelling
+        for obj, space in zip(objs, got):
+            assert space.__dict__["_spelling"] == tuple(obj["rows"])
             assert encode_space(space)["rows"] == _row_text(space.ambient_n, space.rows)
     for obj in objs:
         assert _verdict(decode_space, obj) == (

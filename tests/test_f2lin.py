@@ -319,6 +319,66 @@ def test_subspace_accepts_exactly_the_rref(case):
             Subspace.from_rows(n, rows)
 
 
+def _checked_rows_reference(n, rows):
+    """The two-pass canonical check the one-pass ``_checked_rows`` replaced:
+    first zero, negative, too-wide and out-of-order rows, then each row's
+    bits in the pivot columns."""
+    if n <= 0:
+        raise DimensionError(f"ambient must be positive, got {n}")
+    rows = tuple(rows)
+    pivot_mask = 0
+    last = n
+    for r in rows:
+        p = r.bit_length() - 1
+        if r <= 0 or p >= last:
+            raise ValueError("basis is not in canonical reduced form")
+        last = p
+        pivot_mask |= 1 << p
+    if not all(r & pivot_mask == 1 << (r.bit_length() - 1) for r in rows):
+        raise ValueError("basis is not in canonical reduced form")
+    return rows
+
+
+@st.composite
+def rough_row_lists(draw):
+    """(n, rows) from ``row_lists``, some with a row made negative or too
+    wide, and some with an ambient below 1."""
+    n, rows = draw(row_lists())
+    how = draw(st.sampled_from(["as-is", "negate", "negative", "wide", "ambient"]))
+    i = draw(st.integers(0, len(rows)))
+    if how == "negate" and rows:
+        rows[i % len(rows)] = -rows[i % len(rows)]
+    elif how == "negative":
+        rows.insert(i, draw(st.integers(-(1 << (n + 1)), -1)))
+    elif how == "wide":
+        rows.insert(i, draw(st.integers(1 << n, 1 << (n + 2))))
+    elif how == "ambient":
+        n = draw(st.integers(-2, 0))
+    return n, rows
+
+
+def _checked_verdict(check, n, rows):
+    try:
+        return check(n, rows)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500)
+@given(rough_row_lists())
+def test_subspace_from_rows_accepts_what_the_two_pass_check_accepts(case):
+    n, rows = case
+    expected = _checked_verdict(_checked_rows_reference, n, rows)
+    got = _checked_verdict(lambda n, rows: Subspace.from_rows(n, rows).rows, n, rows)
+    assert got == expected
+
+
+def test_subspace_from_rows_rejects_negative_rows():
+    for rows in ([-1], [-4, 1], [0b1000, -1], [-0b1000]):
+        with pytest.raises(ValueError, match="canonical reduced form"):
+            Subspace.from_rows(4, rows)
+
+
 def test_subspace_from_rows_rejects_wide_rows():
     with pytest.raises(ValueError):
         Subspace.from_rows(3, [0b1000])
